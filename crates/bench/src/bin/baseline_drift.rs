@@ -7,9 +7,7 @@
 //! forgotten — or vice versa) fails CI here instead of confusing the
 //! next regression triage.
 //!
-//! ```text
-//! baseline_drift [--root DIR] [--baselines DIR]
-//! ```
+//! Run with `--help` (or `-h`) for the flags.
 //!
 //! Root documents without a smoke counterpart (and smoke baselines
 //! without a full-size document) are reported but not errors: not every
@@ -18,6 +16,12 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use vtjoin_obs::Json;
+
+/// Printed by `--help` / `-h`.
+const USAGE: &str = "\
+usage:
+  baseline_drift [--root DIR] [--baselines DIR]
+";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -31,6 +35,10 @@ fn main() -> ExitCode {
                 .ok_or_else(|| format!("{name} needs a value"))
         };
         let r = match args[i].as_str() {
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                return ExitCode::SUCCESS;
+            }
             "--root" => value("--root").map(|v| root = v),
             "--baselines" => value("--baselines").map(|v| baselines = v),
             other => Err(format!("unknown flag `{other}`")),

@@ -2,12 +2,7 @@
 //! forced-sweep intra-partition join kernels on the duplicate-heavy
 //! clustered workload, emitting `BENCH_kernel.json`.
 //!
-//! ```text
-//! bench_kernel [--out FILE] [--tuples N] [--long-lived N] [--keys N]
-//!              [--lifespan N] [--max-duration N] [--partitions N]
-//!              [--threads N] [--repeats N] [--seed N] [--smoke]
-//! bench_kernel --validate FILE [--baseline FILE] [--tolerance-permille N]
-//! ```
+//! Run with `--help` (or `-h`) for the flags.
 //!
 //! `--smoke` selects the tiny CI geometry; `--validate` checks an emitted
 //! document against the benchmark schema (including the byte-identity and
@@ -19,6 +14,15 @@ use std::process::ExitCode;
 use vtjoin_bench::kernel::{run, smoke_config, validate, KernelBenchConfig};
 use vtjoin_bench::regress::validate_with_baseline;
 use vtjoin_obs::Json;
+
+/// Printed by `--help` / `-h`.
+const USAGE: &str = "\
+usage:
+  bench_kernel [--out FILE] [--tuples N] [--long-lived N] [--keys N]
+               [--lifespan N] [--max-duration N] [--partitions N]
+               [--threads N] [--repeats N] [--seed N] [--smoke]
+  bench_kernel --validate FILE [--baseline FILE] [--tolerance-permille N]
+";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -49,6 +53,10 @@ fn run_cli(args: &[String]) -> Result<(), String> {
             "--validate" => validate_path = Some(value(arg)?),
             "--baseline" => baseline = Some(value(arg)?),
             "--tolerance-permille" => tolerance_permille = parse(arg, &value(arg)?)?,
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                return Ok(());
+            }
             "--smoke" => {
                 cfg = smoke_config();
                 i += 1;

@@ -4,13 +4,7 @@
 //! the corresponding nested-loop oracle (outer/semi/anti joins) or the
 //! `algebra/aggregate.rs` sweep (temporal aggregates).
 //!
-//! ```text
-//! bench_operator [--out FILE] [--tuples N] [--long-lived N] [--lifespan N]
-//!                [--max-duration N] [--ratios N,N,...] [--partitions N]
-//!                [--key-buckets N] [--threads N] [--repeats N] [--seed N]
-//!                [--smoke]
-//! bench_operator --validate FILE [--baseline FILE] [--tolerance-permille N]
-//! ```
+//! Run with `--help` (or `-h`) for the flags.
 //!
 //! `--smoke` selects the tiny CI geometry; `--validate` checks an emitted
 //! document against the benchmark schema (including per-cell oracle
@@ -23,6 +17,16 @@ use std::process::ExitCode;
 use vtjoin_bench::operator::{run, smoke_config, validate, OperatorBenchConfig};
 use vtjoin_bench::regress::validate_with_baseline;
 use vtjoin_obs::Json;
+
+/// Printed by `--help` / `-h`.
+const USAGE: &str = "\
+usage:
+  bench_operator [--out FILE] [--tuples N] [--long-lived N] [--lifespan N]
+                 [--max-duration N] [--ratios N,N,...] [--partitions N]
+                 [--key-buckets N] [--threads N] [--repeats N] [--seed N]
+                 [--smoke]
+  bench_operator --validate FILE [--baseline FILE] [--tolerance-permille N]
+";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -53,6 +57,10 @@ fn run_cli(args: &[String]) -> Result<(), String> {
             "--validate" => validate_path = Some(value(arg)?),
             "--baseline" => baseline = Some(value(arg)?),
             "--tolerance-permille" => tolerance_permille = parse(arg, &value(arg)?)?,
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                return Ok(());
+            }
             "--smoke" => {
                 cfg = smoke_config();
                 i += 1;

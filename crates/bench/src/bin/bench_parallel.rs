@@ -1,13 +1,7 @@
 //! `bench_parallel` — wall-clock benchmark of the parallel partition
 //! executor, emitting the repo's perf baseline `BENCH_parallel.json`.
 //!
-//! ```text
-//! bench_parallel [--out FILE] [--tuples N] [--long-lived N] [--keys N]
-//!                [--lifespan N] [--partitions N] [--threads 1,2,4]
-//!                [--repeats N] [--seed N] [--zipf X100] [--no-baseline]
-//!                [--smoke]
-//! bench_parallel --validate FILE [--baseline FILE] [--tolerance-permille N]
-//! ```
+//! Run with `--help` (or `-h`) for the flags.
 //!
 //! `--zipf` sets the key distribution's Zipf exponent fixed-point ×100
 //! (`--zipf 120` = Zipf(1.2); 0 = uniform keys, the default). The run
@@ -24,6 +18,16 @@ use std::process::ExitCode;
 use vtjoin_bench::parallel::{run, smoke_config, validate, ParallelBenchConfig};
 use vtjoin_bench::regress::validate_with_baseline;
 use vtjoin_obs::Json;
+
+/// Printed by `--help` / `-h`.
+const USAGE: &str = "\
+usage:
+  bench_parallel [--out FILE] [--tuples N] [--long-lived N] [--keys N]
+                 [--lifespan N] [--partitions N] [--threads 1,2,4]
+                 [--repeats N] [--seed N] [--zipf X100] [--no-baseline]
+                 [--smoke]
+  bench_parallel --validate FILE [--baseline FILE] [--tolerance-permille N]
+";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -54,6 +58,10 @@ fn run_cli(args: &[String]) -> Result<(), String> {
             "--validate" => validate_path = Some(value(arg)?),
             "--baseline" => baseline = Some(value(arg)?),
             "--tolerance-permille" => tolerance_permille = parse(arg, &value(arg)?)?,
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                return Ok(());
+            }
             "--smoke" => {
                 cfg = smoke_config();
                 i += 1;

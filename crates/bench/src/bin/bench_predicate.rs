@@ -3,12 +3,7 @@
 //! Every cell is checked byte-identical against the predicate-
 //! parameterized nested-loop oracle.
 //!
-//! ```text
-//! bench_predicate [--out FILE] [--tuples N] [--long-lived N] [--lifespan N]
-//!                 [--max-duration N] [--ratios N,N,...] [--partitions N]
-//!                 [--threads N] [--repeats N] [--seed N] [--smoke]
-//! bench_predicate --validate FILE [--baseline FILE] [--tolerance-permille N]
-//! ```
+//! Run with `--help` (or `-h`) for the flags.
 //!
 //! `--smoke` selects the tiny CI geometry; `--validate` checks an emitted
 //! document against the benchmark schema (including per-cell oracle
@@ -21,6 +16,15 @@ use std::process::ExitCode;
 use vtjoin_bench::predicate::{run, smoke_config, validate, PredicateBenchConfig};
 use vtjoin_bench::regress::validate_with_baseline;
 use vtjoin_obs::Json;
+
+/// Printed by `--help` / `-h`.
+const USAGE: &str = "\
+usage:
+  bench_predicate [--out FILE] [--tuples N] [--long-lived N] [--lifespan N]
+                  [--max-duration N] [--ratios N,N,...] [--partitions N]
+                  [--threads N] [--repeats N] [--seed N] [--smoke]
+  bench_predicate --validate FILE [--baseline FILE] [--tolerance-permille N]
+";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -51,6 +55,10 @@ fn run_cli(args: &[String]) -> Result<(), String> {
             "--validate" => validate_path = Some(value(arg)?),
             "--baseline" => baseline = Some(value(arg)?),
             "--tolerance-permille" => tolerance_permille = parse(arg, &value(arg)?)?,
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                return Ok(());
+            }
             "--smoke" => {
                 cfg = smoke_config();
                 i += 1;

@@ -1,14 +1,7 @@
 //! `bench_service` — plan-cache reuse and concurrent throughput of the
 //! multi-query join service, emitting `BENCH_service.json`.
 //!
-//! ```text
-//! bench_service [--out FILE] [--tuples N] [--long-lived N] [--keys N]
-//!               [--lifespan N] [--buffer PAGES] [--pool-pages N]
-//!               [--threads-per-query N] [--concurrency N] [--repeats N]
-//!               [--arrivals N] [--mean-interarrival-micros N]
-//!               [--seed N] [--smoke]
-//! bench_service --validate FILE [--baseline FILE] [--tolerance-permille N]
-//! ```
+//! Run with `--help` (or `-h`) for the flags.
 //!
 //! `--smoke` selects the tiny CI geometry; `--validate` checks an emitted
 //! document against the benchmark schema (exact hit/miss split, positive
@@ -21,6 +14,17 @@ use std::process::ExitCode;
 use vtjoin_bench::regress::validate_with_baseline;
 use vtjoin_bench::service::{run, smoke_config, validate, ServiceBenchConfig};
 use vtjoin_obs::Json;
+
+/// Printed by `--help` / `-h`.
+const USAGE: &str = "\
+usage:
+  bench_service [--out FILE] [--tuples N] [--long-lived N] [--keys N]
+                [--lifespan N] [--buffer PAGES] [--pool-pages N]
+                [--threads-per-query N] [--concurrency N] [--repeats N]
+                [--arrivals N] [--mean-interarrival-micros N]
+                [--seed N] [--smoke]
+  bench_service --validate FILE [--baseline FILE] [--tolerance-permille N]
+";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -51,6 +55,10 @@ fn run_cli(args: &[String]) -> Result<(), String> {
             "--validate" => validate_path = Some(value(arg)?),
             "--baseline" => baseline = Some(value(arg)?),
             "--tolerance-permille" => tolerance_permille = parse(arg, &value(arg)?)?,
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                return Ok(());
+            }
             "--smoke" => {
                 cfg = smoke_config();
                 i += 1;

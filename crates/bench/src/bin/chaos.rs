@@ -7,9 +7,7 @@
 //! [`JoinError`](vtjoin_join::JoinError) — never a panic, never a
 //! silently wrong or truncated result.
 //!
-//! ```text
-//! chaos [--seed N] [--runs N] [--tuples N] [--max-rate PERMILLE]
-//! ```
+//! Run with `--help` (or `-h`) for the flags.
 //!
 //! Exits 0 when every run upholds the invariant, 1 otherwise. The default
 //! seed is fixed so CI runs are reproducible; pass `--seed` to explore.
@@ -24,6 +22,12 @@ use vtjoin_workload::generate::{
     generate, inner_schema, outer_schema, DurationDistribution, GeneratorConfig, KeyDistribution,
     TimeDistribution,
 };
+
+/// Printed by `--help` / `-h`.
+const USAGE: &str = "\
+usage:
+  chaos [--seed N] [--runs N] [--tuples N] [--max-rate PERMILLE]
+";
 
 fn flag(args: &[String], name: &str, default: u64) -> u64 {
     args.iter()
@@ -55,6 +59,10 @@ fn workload(tuples: u64, seed: u64) -> (Relation, Relation) {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let seed = flag(&args, "--seed", 0xC405);
     let runs = flag(&args, "--runs", 2);
     let tuples = flag(&args, "--tuples", 1200);

@@ -1,8 +1,6 @@
 //! Regenerates the paper's evaluation artifacts.
 //!
-//! ```text
-//! figures [fig4|fig5|fig6|fig7|fig8|ablation|report|all] [--scale small|full] [--out DIR]
-//! ```
+//! Run with `--help` (or `-h`) for the flags.
 //!
 //! Each artifact prints an aligned table (and an ASCII chart where the
 //! paper has one) and writes a CSV under `--out` (default `results/`).
@@ -15,6 +13,12 @@ use vtjoin_bench::harness::run_algorithm_reported;
 use vtjoin_bench::{build_pair, Algo, Scale};
 use vtjoin_storage::CostRatio;
 
+/// Printed by `--help` / `-h`.
+const USAGE: &str = "\
+usage:
+  figures [fig4|fig5|fig6|fig7|fig8|ablation|report|all] [--scale small|full] [--out DIR]
+";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut which: Vec<String> = Vec::new();
@@ -23,6 +27,10 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                return;
+            }
             "--scale" => {
                 i += 1;
                 scale = args
@@ -113,8 +121,6 @@ fn execution_report_artifact(scale: Scale, out: &std::path::Path) {
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!(
-        "usage: figures [fig4|fig5|fig6|fig7|fig8|ablation|report|all] [--scale small|full] [--out DIR]"
-    );
+    eprint!("{USAGE}");
     std::process::exit(2);
 }

@@ -1,5 +1,7 @@
 //! Shared experiment plumbing.
 
+use vtjoin_core::Relation;
+use vtjoin_engine::{run, ExecPlan, MaterializeSink};
 use vtjoin_join::{
     execution_report, partition_execution_report, JoinAlgorithm, JoinConfig, JoinReport,
     NestedLoopJoin, PartitionJoin, ReplicatedPartitionJoin, SortMergeJoin, TimeIndexJoin,
@@ -143,6 +145,18 @@ pub fn build_pair(
     let cfg_s = cfg.seed(seed ^ 0xabcd_ef01);
     let hs = generate_heap(&disk, inner_schema(pad), &cfg_s).expect("load inner");
     (disk, hr, hs)
+}
+
+/// Runs the in-memory executor on `plan`, materialized; panics on a join
+/// error (benchmarks run fixed, valid workloads).
+pub fn run_materialized(
+    plan: &ExecPlan,
+    r: &Relation,
+    s: &Relation,
+) -> (Relation, ExecutionReport) {
+    let mut out = MaterializeSink::default();
+    let report = run(plan, r, s, &mut out).expect("benchmark join failed");
+    (out.into_relation(), report)
 }
 
 /// Runs one algorithm on a prepared pair, measuring only the join's I/O.

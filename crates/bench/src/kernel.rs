@@ -14,11 +14,13 @@
 //! subset); ratios are fixed-point ×100 (`speedup_x100_sweep_vs_hash =
 //! 250` means the sweep kernel is 2.50× faster).
 
+use crate::harness::run_materialized;
 use std::time::Instant;
 use vtjoin_core::{Interval, Relation};
-use vtjoin_engine::parallel::{parallel_execution_report_with, parallel_partition_join_with};
+use vtjoin_engine::ExecPlan;
 use vtjoin_join::kernel::KernelChoice;
 use vtjoin_join::partition::intervals::equal_width;
+use vtjoin_join::partition::GridPlan;
 use vtjoin_obs::json::obj;
 use vtjoin_obs::Json;
 use vtjoin_workload::generate::{
@@ -138,12 +140,15 @@ pub fn run(cfg: &KernelBenchConfig) -> Json {
     let lifespan_iv = Interval::from_raw(0, cfg.lifespan).expect("positive lifespan");
     let intervals = equal_width(lifespan_iv, cfg.partitions);
 
+    let plan = |choice: KernelChoice| ExecPlan {
+        kernel: choice,
+        ..ExecPlan::new(GridPlan::time_only(intervals.clone()), cfg.threads)
+    };
     let time = |choice: KernelChoice| {
         let mut best = u64::MAX;
         for _ in 0..cfg.repeats.max(1) {
             let t0 = Instant::now();
-            parallel_partition_join_with(&r, &s, &intervals, cfg.threads, choice)
-                .expect("benchmark join failed");
+            run_materialized(&plan(choice), &r, &s);
             best = best.min(t0.elapsed().as_micros() as u64);
         }
         best
@@ -155,9 +160,7 @@ pub fn run(cfg: &KernelBenchConfig) -> Json {
     let mut result_tuples = 0_i64;
     for choice in [KernelChoice::Hash, KernelChoice::Sweep] {
         let wall = time(choice);
-        let (result, report) =
-            parallel_execution_report_with(&r, &s, &intervals, cfg.threads, choice)
-                .expect("benchmark join failed");
+        let (result, report) = run_materialized(&plan(choice), &r, &s);
         let k = report.kernel.expect("parallel report has a kernel section");
         result_tuples = result.len() as i64;
         kernels_json.push(obj(vec![

@@ -16,7 +16,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod columnar;
 pub mod figures;
 pub mod harness;
 pub mod kernel;

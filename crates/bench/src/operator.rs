@@ -19,7 +19,6 @@ use vtjoin_core::algebra::{
 };
 use vtjoin_core::{AggFunc, Interval, JoinPredicate, Operator, Relation};
 use vtjoin_engine::operator_join;
-use vtjoin_join::columnar::Layout;
 use vtjoin_join::partition::intervals::equal_width;
 use vtjoin_obs::json::obj;
 use vtjoin_obs::Json;
@@ -191,30 +190,13 @@ pub fn run(cfg: &OperatorBenchConfig) -> Json {
             let mut wall = u64::MAX;
             for _ in 0..cfg.repeats.max(1) {
                 let t0 = Instant::now();
-                operator_join(
-                    &r,
-                    &s,
-                    &op,
-                    &pred,
-                    &intervals,
-                    cfg.key_buckets,
-                    cfg.threads,
-                    Layout::Columnar,
-                )
-                .expect("benchmark operator run failed");
+                operator_join(&r, &s, &op, &pred, &intervals, cfg.key_buckets, cfg.threads)
+                    .expect("benchmark operator run failed");
                 wall = wall.min(t0.elapsed().as_micros() as u64);
             }
-            let (result, c) = operator_join(
-                &r,
-                &s,
-                &op,
-                &pred,
-                &intervals,
-                cfg.key_buckets,
-                cfg.threads,
-                Layout::Columnar,
-            )
-            .expect("benchmark operator run failed");
+            let (result, c) =
+                operator_join(&r, &s, &op, &pred, &intervals, cfg.key_buckets, cfg.threads)
+                    .expect("benchmark operator run failed");
             let identical = i64::from(ordered_encoding(&result) == want);
             all_identical &= identical;
             cells.push(obj(vec![

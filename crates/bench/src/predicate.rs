@@ -11,11 +11,13 @@
 //! the [`crate::regress`] comparator exactly like the other benchmarks;
 //! wall-clock fields are denylisted there as usual.
 
+use crate::harness::run_materialized;
 use std::time::Instant;
 use vtjoin_core::algebra::predicate_join;
 use vtjoin_core::{Interval, JoinPredicate, Relation};
-use vtjoin_engine::parallel::{parallel_execution_report_pred, parallel_partition_join_pred};
+use vtjoin_engine::ExecPlan;
 use vtjoin_join::partition::intervals::equal_width;
+use vtjoin_join::partition::GridPlan;
 use vtjoin_obs::json::obj;
 use vtjoin_obs::Json;
 use vtjoin_workload::generate::{
@@ -158,16 +160,17 @@ pub fn run(cfg: &PredicateBenchConfig) -> Json {
             .collect();
         for p in GRID_PREDICATES {
             let pred: JoinPredicate = p.parse().expect("grid predicate parses");
+            let plan = ExecPlan {
+                predicate: pred,
+                ..ExecPlan::new(GridPlan::time_only(intervals.clone()), cfg.threads)
+            };
             let mut wall = u64::MAX;
             for _ in 0..cfg.repeats.max(1) {
                 let t0 = Instant::now();
-                parallel_partition_join_pred(&r, &s, &intervals, cfg.threads, &pred)
-                    .expect("benchmark join failed");
+                run_materialized(&plan, &r, &s);
                 wall = wall.min(t0.elapsed().as_micros() as u64);
             }
-            let (result, report) =
-                parallel_execution_report_pred(&r, &s, &intervals, cfg.threads, &pred)
-                    .expect("benchmark join failed");
+            let (result, report) = run_materialized(&plan, &r, &s);
             let identical = i64::from(sorted_encoding(&result) == oracle_bytes[*p]);
             all_identical &= identical;
             // The natural join carries no predicate section (pre-v6 report

@@ -16,9 +16,9 @@
 //! * [`query`] — a small declarative query layer: table scans and planned
 //!   joins piped through filters, projections, windows, timeslices, and
 //!   coalescing;
-//! * [`parallel`] — a multi-threaded partition join over replicated
-//!   partitions, the Leung–Muntz multiprocessor setting (\[LM92b\]) as an
-//!   in-memory ablation;
+//! * [`parallel`] — the one in-memory executor: an [`ExecPlan`] run over
+//!   a replicated (key × time) partition grid by [`run`], the Leung–Muntz
+//!   multiprocessor setting (\[LM92b\]);
 //! * [`operator`] — the production executor for the wider §4.1 operator
 //!   family (outer/semi/anti joins and temporal aggregation), running
 //!   dangling-fragment-tracking sweeps over the same partition grid;
@@ -41,13 +41,10 @@ pub mod view;
 
 pub use database::{Database, TableStats};
 pub use operator::{operator_execution_report, operator_join, OperatorCounters};
+#[doc(hidden)]
+pub use parallel::grid_execution_report_layout;
 pub use parallel::{
-    grid_execution_report_layout, grid_execution_report_pred, grid_execution_report_sharded,
-    grid_execution_report_with, grid_join_streamed, grid_partition_join, grid_partition_join_pred,
-    grid_partition_join_with, parallel_execution_report, parallel_execution_report_pred,
-    parallel_execution_report_with, parallel_partition_join, parallel_partition_join_naive,
-    parallel_partition_join_pred, parallel_partition_join_reported, parallel_partition_join_with,
-    StreamSummary,
+    parallel_partition_join_naive, run, ExecPlan, MaterializeSink, Sink, StreamSink, StreamSummary,
 };
 pub use planner::{choose_algorithm, partition_feasible, Algorithm};
 pub use query::{Predicate, Query};

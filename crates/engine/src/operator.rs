@@ -7,9 +7,12 @@
 //! result — from the nested-loop oracles of `vtjoin_core::algebra` onto
 //! the production stack:
 //!
-//! * tuples are scattered into the same (key-bucket × time-range) grid
-//!   cells as the inner-join executor (equal keys co-bucket by
-//!   construction; tuples replicate only along the time axis);
+//! * tuples are encoded and scattered into the same (key-bucket ×
+//!   time-range) grid cells as the inner-join executor, by the same
+//!   `encode_pair` + `scatter_rows` pass (equal keys co-bucket by
+//!   construction; tuples replicate only along the time axis), and the
+//!   cells are claimed by workers started through the engine's one
+//!   scheduler;
 //! * each cell runs the dangling-fragment-tracking sweep
 //!   ([`vtjoin_join::kernel::tracked`]), which emits matched pairs under
 //!   the canonical-partition rule and per-tuple **unmatched fragments**
@@ -23,7 +26,7 @@
 //! * materialization replays the oracle's output order per operator, so
 //!   results are **byte-identical** to `outerjoin_pred`,
 //!   `full_outerjoin_pred`, `semijoin_pred`, and `antijoin_pred`
-//!   regardless of thread count, partition count, or layout;
+//!   regardless of thread count or partition count;
 //! * [`Operator::Aggregate`] pipes the matched pairs through the
 //!   checkpointed [`TimelineIndex`] and returns the maximal constant
 //!   segments, byte-identical to `count_over_time`/`sum_over_time`/
@@ -37,16 +40,16 @@
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::Instant;
 
+use crate::parallel::{scatter_rows, scoped_workers};
 use vtjoin_core::algebra::{segments_to_relation, Extremum};
 use vtjoin_core::{
     AggFunc, AttrType, Chronon, Interval, JoinPredicate, Operator, Period, Relation, TemporalError,
     Tuple, Value,
 };
-use vtjoin_join::columnar::{encode_pair, Layout};
-use vtjoin_join::partition::intervals::{is_partitioning, replica_range};
+use vtjoin_join::columnar::{encode_pair, ColumnarSide};
+use vtjoin_join::partition::intervals::is_partitioning;
 use vtjoin_join::{
     tracked_sweep, Fragment, JoinError, JoinSpec, OperatorLog, TimelineIndex, TrackedInput,
     TrackedScratch, TrackedStats,
@@ -100,11 +103,10 @@ pub struct OperatorCounters {
     pub fallback_nested: bool,
 }
 
-/// One side's per-cell columns, gathered at scatter time so each worker
-/// reads contiguous slices (the tracked sweep is layout-agnostic: row
-/// executions gather from tuples, columnar executions from the encoded
-/// [`vtjoin_join::columnar::ColumnarSide`] columns).
-#[derive(Debug, Default, Clone)]
+/// One side's columns for the cell being swept, gathered from the
+/// encoded [`ColumnarSide`] so the tracked sweep reads contiguous slices.
+/// One per worker and side, reused across every cell the worker claims.
+#[derive(Debug, Default)]
 struct CellCols {
     ids: Vec<u32>,
     starts: Vec<Chronon>,
@@ -113,11 +115,17 @@ struct CellCols {
 }
 
 impl CellCols {
-    fn push(&mut self, id: u32, iv: Interval, hash: u64) {
-        self.ids.push(id);
-        self.starts.push(iv.start());
-        self.ends.push(iv.end());
-        self.hashes.push(hash);
+    fn gather(&mut self, side: &ColumnarSide<'_>, rows: &[u32]) {
+        self.ids.clear();
+        self.starts.clear();
+        self.ends.clear();
+        self.hashes.clear();
+        self.ids.extend_from_slice(rows);
+        for &row in rows {
+            self.starts.push(side.start(row));
+            self.ends.push(side.end(row));
+            self.hashes.push(side.hash(row));
+        }
     }
 
     fn input(&self) -> TrackedInput<'_> {
@@ -128,23 +136,6 @@ impl CellCols {
             hashes: &self.hashes,
         }
     }
-}
-
-/// Scatters one side into `intervals.len() * k` grid cells: a tuple is
-/// replicated into every time partition it overlaps (Leung–Muntz rule)
-/// and lands in the key bucket `hash & (k-1)` — so key-equal tuples of
-/// both sides always share a bucket and every cell sees its window's
-/// entire coverage.
-fn scatter(tuples: &[&Tuple], hashes: &[u64], intervals: &[Interval], k: usize) -> Vec<CellCols> {
-    let mut cells = vec![CellCols::default(); intervals.len() * k];
-    for (i, t) in tuples.iter().enumerate() {
-        let h = hashes[i];
-        let b = (h as usize) & (k - 1);
-        for p in replica_range(intervals, t.valid()) {
-            cells[p * k + b].push(i as u32, t.valid(), h);
-        }
-    }
-    cells
 }
 
 /// Merges per-cell fragments into one maximal-interval [`Period`] per
@@ -164,13 +155,10 @@ fn stitch(frags: &[Fragment], n: usize) -> (Vec<Period>, u64) {
 /// Evaluates `op` over `r ⟨op⟩ᵛ s` on the production partitioned stack.
 ///
 /// `intervals` must partition all of valid time (as for the inner-join
-/// executors); `key_buckets` is rounded up to a power of two;
-/// `layout` selects whether per-cell key equality resolves through the
-/// columnar key dictionary or row-wise attribute compares (the output is
-/// byte-identical either way). The result is byte-identical to the
-/// corresponding `vtjoin_core::algebra` oracle for every operator,
-/// predicate, thread count, partition count, and layout.
-#[allow(clippy::too_many_arguments)]
+/// executor); `key_buckets` is rounded up to a power of two. Per-cell key
+/// equality resolves through the columnar key dictionary. The result is
+/// byte-identical to the corresponding `vtjoin_core::algebra` oracle for
+/// every operator, predicate, thread count, and partition count.
 pub fn operator_join(
     r: &Relation,
     s: &Relation,
@@ -179,7 +167,6 @@ pub fn operator_join(
     intervals: &[Interval],
     key_buckets: usize,
     threads: usize,
-    layout: Layout,
 ) -> Result<(Relation, OperatorCounters), JoinError> {
     if !is_partitioning(intervals) {
         return Err(JoinError::Precondition(
@@ -201,32 +188,11 @@ pub fn operator_join(
         return nested_fallback(r, s, &spec, op, pred, threads, counters);
     }
 
-    let r_all: Vec<&Tuple> = r.iter().collect();
-    let s_all: Vec<&Tuple> = s.iter().collect();
-    let enc = match layout {
-        Layout::Columnar => Some(encode_pair(
-            &spec,
-            r_all.iter().copied(),
-            s_all.iter().copied(),
-        )),
-        Layout::Row => None,
-    };
+    let enc = encode_pair(&spec, r.iter(), s.iter());
     let k = key_buckets.max(1).next_power_of_two();
     counters.key_buckets = k as u64;
-    // The columnar encode precomputes the same fixed-seed hashes the spec
-    // produces; reuse them so the encode pass is the only hashing pass.
-    let (r_hashes, s_hashes): (Vec<u64>, Vec<u64>) = match &enc {
-        Some(p) => (
-            (0..r_all.len() as u32).map(|i| p.outer.hash(i)).collect(),
-            (0..s_all.len() as u32).map(|i| p.inner.hash(i)).collect(),
-        ),
-        None => (
-            r_all.iter().map(|t| spec.outer_key_hash(t)).collect(),
-            s_all.iter().map(|t| spec.inner_key_hash(t)).collect(),
-        ),
-    };
-    let r_cells = scatter(&r_all, &r_hashes, intervals, k);
-    let s_cells = scatter(&s_all, &s_hashes, intervals, k);
+    let r_cells = scatter_rows(&enc.outer, intervals, k);
+    let s_cells = scatter_rows(&enc.inner, intervals, k);
 
     // A cell must run when it can produce pairs (both sides present) or
     // dangling fragments for a tracked side — a tuple with no partners in
@@ -235,82 +201,48 @@ pub fn operator_join(
     let (track_outer, track_inner) = (op.tracks_outer(), op.tracks_inner());
     let mut order: Vec<usize> = (0..r_cells.len())
         .filter(|&c| {
-            let (nr, ns) = (r_cells[c].ids.len(), s_cells[c].ids.len());
+            let (nr, ns) = (r_cells[c].len(), s_cells[c].len());
             (nr > 0 && (ns > 0 || track_outer)) || (ns > 0 && track_inner)
         })
         .collect();
     order.sort_by_key(|&c| {
-        let (nr, ns) = (r_cells[c].ids.len() as u64, s_cells[c].ids.len() as u64);
+        let (nr, ns) = (r_cells[c].len() as u64, s_cells[c].len() as u64);
         (Reverse(nr * ns + nr + ns), c)
     });
     counters.cells = order.len() as u64;
 
-    let num_workers = threads.max(1).min(order.len().max(1));
-    counters.workers = num_workers as u64;
+    // One worker even with no cell to run, so the report's worker count
+    // never reads zero.
+    let items = order.len().max(1);
+    counters.workers = threads.max(1).min(items) as u64;
     let next = AtomicUsize::new(0);
-    let mut logs: Vec<(OperatorLog, TrackedStats)> = Vec::with_capacity(num_workers);
-    let mut worker_panicked = false;
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(num_workers);
-        for _ in 0..num_workers {
-            let (next, order) = (&next, &order);
-            let (r_cells, s_cells) = (&r_cells, &s_cells);
-            let (r_all, s_all) = (&r_all, &s_all);
-            let (spec, enc) = (&spec, &enc);
-            handles.push(scope.spawn(move || {
-                let mut scratch = TrackedScratch::default();
-                let mut log = OperatorLog::default();
-                let mut stats = TrackedStats::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= order.len() {
-                        break;
-                    }
-                    let c = order[i];
-                    let window = intervals[c / k];
-                    let (rc, sc) = (&r_cells[c], &s_cells[c]);
-                    let st = match enc {
-                        Some(p) => tracked_sweep(
-                            op,
-                            Some(pred),
-                            rc.input(),
-                            sc.input(),
-                            window,
-                            |xi, yi| p.outer.key_id(rc.ids[xi]) == p.inner.key_id(sc.ids[yi]),
-                            &mut scratch,
-                            &mut log,
-                        ),
-                        None => tracked_sweep(
-                            op,
-                            Some(pred),
-                            rc.input(),
-                            sc.input(),
-                            window,
-                            |xi, yi| {
-                                spec.keys_equal(
-                                    r_all[rc.ids[xi] as usize],
-                                    s_all[sc.ids[yi] as usize],
-                                )
-                            },
-                            &mut scratch,
-                            &mut log,
-                        ),
-                    };
-                    stats.merge(&st);
-                }
-                (log, stats)
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok(pair) => logs.push(pair),
-                Err(_) => worker_panicked = true,
+    let spawn = |_| {
+        let (next, order, enc) = (&next, &order, &enc);
+        let (r_cells, s_cells) = (&r_cells, &s_cells);
+        move || {
+            let mut scratch = TrackedScratch::default();
+            let mut log = OperatorLog::default();
+            let mut stats = TrackedStats::default();
+            let (mut rc, mut sc) = (CellCols::default(), CellCols::default());
+            while let Some(&c) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                rc.gather(&enc.outer, &r_cells[c]);
+                sc.gather(&enc.inner, &s_cells[c]);
+                let st = tracked_sweep(
+                    op,
+                    Some(pred),
+                    rc.input(),
+                    sc.input(),
+                    intervals[c / k],
+                    |xi, yi| enc.outer.key_id(rc.ids[xi]) == enc.inner.key_id(sc.ids[yi]),
+                    &mut scratch,
+                    &mut log,
+                );
+                stats.merge(&st);
             }
+            (log, stats)
         }
-    });
-    if worker_panicked {
-        return Err(JoinError::Internal("operator worker panicked"));
-    }
+    };
+    let (logs, ()) = scoped_workers(threads, items, spawn, || ())?;
 
     // Gather: the workers' logs are unordered (cells are claimed
     // dynamically); the sorts below restore the oracle's deterministic
@@ -370,10 +302,9 @@ pub fn operator_execution_report(
     intervals: &[Interval],
     key_buckets: usize,
     threads: usize,
-    layout: Layout,
 ) -> Result<(Relation, ExecutionReport), JoinError> {
     let started = Instant::now();
-    let (rel, c) = operator_join(r, s, op, pred, intervals, key_buckets, threads, layout)?;
+    let (rel, c) = operator_join(r, s, op, pred, intervals, key_buckets, threads)?;
     let wall_micros = started.elapsed().as_micros() as u64;
     let zero_io = IoSection {
         random_reads: 0,
@@ -498,72 +429,60 @@ fn nested_fallback(
         .map(|w| (w * chunk_len, ((w + 1) * chunk_len).min(r_all.len())))
         .collect();
 
-    let mut logs: Vec<(OperatorLog, TrackedStats)> = Vec::with_capacity(num_workers);
-    let mut worker_panicked = false;
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(num_workers);
-        for &(lo, hi) in &ranges {
-            let (r_all, s_all) = (&r_all, &s_all);
-            let (r_hashes, s_hashes) = (&r_hashes, &s_hashes);
-            handles.push(scope.spawn(move || {
-                let mut log = OperatorLog::default();
-                let mut stats = TrackedStats::default();
-                for xi in lo..hi {
-                    let x = r_all[xi];
-                    let mut matched = Period::new();
-                    for (yi, y) in s_all.iter().enumerate() {
-                        if r_hashes[xi] != s_hashes[yi] || !spec.keys_equal(x, y) {
-                            continue;
-                        }
-                        stats.comparisons += 1;
-                        stats.filter_checks += 1;
-                        if !pred.matches(x.valid(), y.valid()) {
-                            continue;
-                        }
-                        stats.filter_hits += 1;
-                        if need_pairs {
-                            log.pairs.push((xi as u32, yi as u32));
-                            stats.pairs_logged += 1;
-                        }
-                        if track_outer {
-                            matched.insert(matched_window(pred, x.valid(), y.valid()));
-                        }
-                        if track_inner {
-                            // Coverage, not dangling: the inner side is
-                            // shared across chunks, so its dangling is
-                            // computed at gather from merged coverage.
-                            log.inner_frags.push(Fragment {
-                                id: yi as u32,
-                                iv: matched_window(pred, y.valid(), x.valid()),
-                            });
-                        }
+    let spawn = |w: usize| {
+        let (lo, hi) = ranges[w];
+        let (r_all, s_all) = (&r_all, &s_all);
+        let (r_hashes, s_hashes) = (&r_hashes, &s_hashes);
+        move || {
+            let mut log = OperatorLog::default();
+            let mut stats = TrackedStats::default();
+            for xi in lo..hi {
+                let x = r_all[xi];
+                let mut matched = Period::new();
+                for (yi, y) in s_all.iter().enumerate() {
+                    if r_hashes[xi] != s_hashes[yi] || !spec.keys_equal(x, y) {
+                        continue;
+                    }
+                    stats.comparisons += 1;
+                    stats.filter_checks += 1;
+                    if !pred.matches(x.valid(), y.valid()) {
+                        continue;
+                    }
+                    stats.filter_hits += 1;
+                    if need_pairs {
+                        log.pairs.push((xi as u32, yi as u32));
+                        stats.pairs_logged += 1;
                     }
                     if track_outer {
-                        for iv in Period::from_interval(x.valid())
-                            .difference(&matched)
-                            .intervals()
-                        {
-                            log.outer_frags.push(Fragment {
-                                id: xi as u32,
-                                iv: *iv,
-                            });
-                            stats.outer_fragments += 1;
-                        }
+                        matched.insert(matched_window(pred, x.valid(), y.valid()));
+                    }
+                    if track_inner {
+                        // Coverage, not dangling: the inner side is
+                        // shared across chunks, so its dangling is
+                        // computed at gather from merged coverage.
+                        log.inner_frags.push(Fragment {
+                            id: yi as u32,
+                            iv: matched_window(pred, y.valid(), x.valid()),
+                        });
                     }
                 }
-                (log, stats)
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok(pair) => logs.push(pair),
-                Err(_) => worker_panicked = true,
+                if track_outer {
+                    for iv in Period::from_interval(x.valid())
+                        .difference(&matched)
+                        .intervals()
+                    {
+                        log.outer_frags.push(Fragment {
+                            id: xi as u32,
+                            iv: *iv,
+                        });
+                        stats.outer_fragments += 1;
+                    }
+                }
             }
+            (log, stats)
         }
-    });
-    if worker_panicked {
-        return Err(JoinError::Internal("operator worker panicked"));
-    }
+    };
+    let (logs, ()) = scoped_workers(threads, ranges.len(), spawn, || ())?;
 
     let mut pairs: Vec<(u32, u32)> = Vec::new();
     let mut outer_frags: Vec<Fragment> = Vec::new();
@@ -835,33 +754,29 @@ mod tests {
     }
 
     #[test]
-    fn operators_match_oracles_across_partitions_threads_layouts() {
+    fn operators_match_oracles_across_partitions_and_threads() {
         let (r, s) = workload();
         let pred = JoinPredicate::intersects();
         let lifespan = Interval::from_raw(0, 140).unwrap();
         for parts in [1u64, 4] {
             let intervals = equal_width(lifespan, parts);
             for threads in [1usize, 3] {
-                for layout in [Layout::Row, Layout::Columnar] {
-                    let ctx =
-                        |name: &str| format!("{name} parts={parts} threads={threads} {layout:?}");
-                    let cases: Vec<(Operator, Relation)> = vec![
-                        (Operator::Inner, predicate_join(&r, &s, &pred).unwrap()),
-                        (
-                            Operator::Left,
-                            outerjoin_pred(&r, &s, JoinSide::Left, &pred).unwrap(),
-                        ),
-                        (Operator::Full, full_outerjoin_pred(&r, &s, &pred).unwrap()),
-                        (Operator::Semi, semijoin_pred(&r, &s, &pred).unwrap()),
-                        (Operator::Anti, antijoin_pred(&r, &s, &pred).unwrap()),
-                    ];
-                    for (op, want) in cases {
-                        let (got, counters) =
-                            operator_join(&r, &s, &op, &pred, &intervals, 4, threads, layout)
-                                .unwrap();
-                        assert_identical(&got, &want, &ctx(&op.to_string()));
-                        assert!(!counters.fallback_nested);
-                    }
+                let ctx = |name: &str| format!("{name} parts={parts} threads={threads}");
+                let cases: Vec<(Operator, Relation)> = vec![
+                    (Operator::Inner, predicate_join(&r, &s, &pred).unwrap()),
+                    (
+                        Operator::Left,
+                        outerjoin_pred(&r, &s, JoinSide::Left, &pred).unwrap(),
+                    ),
+                    (Operator::Full, full_outerjoin_pred(&r, &s, &pred).unwrap()),
+                    (Operator::Semi, semijoin_pred(&r, &s, &pred).unwrap()),
+                    (Operator::Anti, antijoin_pred(&r, &s, &pred).unwrap()),
+                ];
+                for (op, want) in cases {
+                    let (got, counters) =
+                        operator_join(&r, &s, &op, &pred, &intervals, 4, threads).unwrap();
+                    assert_identical(&got, &want, &ctx(&op.to_string()));
+                    assert!(!counters.fallback_nested);
                 }
             }
         }
@@ -890,8 +805,7 @@ mod tests {
         ];
         for (f, want_segs) in cases {
             let op = Operator::Aggregate(f.clone());
-            let (got, counters) =
-                operator_join(&r, &s, &op, &pred, &intervals, 4, 2, Layout::Columnar).unwrap();
+            let (got, counters) = operator_join(&r, &s, &op, &pred, &intervals, 4, 2).unwrap();
             let want = segments_to_relation(&want_segs);
             assert_identical(&got, &want, &format!("aggregate:{f}"));
             assert_eq!(counters.timeline_events as usize, {
@@ -911,7 +825,7 @@ mod tests {
         let intervals = [Interval::ALL];
         let unknown = Operator::Aggregate(AggFunc::Sum("nope".into()));
         assert!(matches!(
-            operator_join(&r, &s, &unknown, &pred, &intervals, 1, 1, Layout::Row),
+            operator_join(&r, &s, &unknown, &pred, &intervals, 1, 1),
             Err(JoinError::Core(TemporalError::UnknownAttribute(_)))
         ));
     }
@@ -921,28 +835,8 @@ mod tests {
         let (r, s) = workload();
         let pred = JoinPredicate::intersects();
         let intervals = equal_width(Interval::from_raw(0, 140).unwrap(), 3);
-        let (semi, _) = operator_join(
-            &r,
-            &s,
-            &Operator::Semi,
-            &pred,
-            &intervals,
-            4,
-            2,
-            Layout::Columnar,
-        )
-        .unwrap();
-        let (anti, _) = operator_join(
-            &r,
-            &s,
-            &Operator::Anti,
-            &pred,
-            &intervals,
-            4,
-            2,
-            Layout::Columnar,
-        )
-        .unwrap();
+        let (semi, _) = operator_join(&r, &s, &Operator::Semi, &pred, &intervals, 4, 2).unwrap();
+        let (anti, _) = operator_join(&r, &s, &Operator::Anti, &pred, &intervals, 4, 2).unwrap();
         // Per r tuple: the union of its semi and anti windows is exactly
         // its own interval.
         for (xid, x) in r.iter().enumerate() {
@@ -975,7 +869,7 @@ mod tests {
         ] {
             for threads in [1usize, 4] {
                 let (got, counters) =
-                    operator_join(&r, &s, &op, &pred, &intervals, 4, threads, Layout::Row).unwrap();
+                    operator_join(&r, &s, &op, &pred, &intervals, 4, threads).unwrap();
                 assert!(counters.fallback_nested);
                 assert_identical(&got, &want, &format!("{op} fallback threads={threads}"));
             }
@@ -1004,7 +898,6 @@ mod tests {
             &intervals,
             1,
             2,
-            Layout::Row,
         )
         .unwrap();
         assert_eq!(counters.outer_fragments, 4);
@@ -1026,8 +919,7 @@ mod tests {
                 &JoinPredicate::intersects(),
                 &bad,
                 1,
-                1,
-                Layout::Row
+                1
             ),
             Err(JoinError::Precondition(_))
         ));

@@ -5,337 +5,287 @@
 //! (\[LM92b\], §4.1 of the paper). Replication is precisely what makes the
 //! partition joins independent — no tuple migrates between partitions, so
 //! each `rᵢ ⋈ᵛ sᵢ` can run on its own thread. This module provides that
-//! variant as an in-memory ablation, generalized from the paper's 1×N
+//! variant as an in-memory executor, generalized from the paper's 1×N
 //! time-only partitioning to a **2D (key × time) grid**
 //! ([`vtjoin_join::partition::GridPlan`]): a cell is a (key-bucket,
 //! time-range) pair, tuples replicate only along the time axis (matching
 //! pairs co-bucket by construction — equal keys hash identically), and
 //! the canonical-partition emit rule generalizes to a *canonical-cell*
-//! rule, so every result is emitted exactly once. The 1×N grid is
-//! byte-identical to the pre-grid executor: cells are laid out time-major,
-//! so collapsing the key axis reproduces the old partition order exactly.
+//! rule, so every result is emitted exactly once. Time-only execution is
+//! the 1×N grid: cells are laid out time-major, so collapsing the key
+//! axis yields the paper's partition order.
 //!
-//! The executor is a scatter/gather coordinator over independent shard
-//! workers, combining four optimizations over the obvious
+//! **One executor.** An [`ExecPlan`] names the grid, the kernel policy,
+//! the predicate, the worker count and an optional shard pool; [`run`]
+//! executes it and hands the result to a [`Sink`] — [`MaterializeSink`]
+//! collects one relation, [`StreamSink`] forwards each cell's batch as
+//! soon as it is complete and next in order. Both sinks see the same
+//! batches in the same order, so a stream concatenates to exactly the
+//! materialized relation.
+//!
+//! The cell loop (claim a cell, dispatch the kernel, late-materialize) is
+//! written once and combines four optimizations over the obvious
 //! one-chunk-per-thread nested-loop design:
 //!
+//! * **columnar batch execution** — both relations are encoded
+//!   struct-of-arrays once at scatter time
+//!   ([`vtjoin_join::columnar::ColumnarSide`]: flat start/end chronon
+//!   columns, a pre-hashed key column, and a dictionary-compressed key-id
+//!   column shared across sides) and **row ids** are scattered into grid
+//!   cells. Workers run the columnar kernels
+//!   ([`vtjoin_join::kernel::columnar`]) over gathered column slices and
+//!   emit `(row, row)` pairs, materializing result tuples once per cell;
 //! * **gated intra-partition kernels** — each claimed cell is joined by
-//!   whichever [`vtjoin_join::kernel`] the per-cell cost gate picks: the
-//!   hash kernel (BlockTable build + probe) on mostly-unique keys, the
-//!   forward-sweep interval kernel on duplicate-heavy data. A forced
-//!   [`KernelChoice`] overrides the gate (CLI `--kernel`);
+//!   whichever kernel the per-cell cost gate picks: the hash kernel on
+//!   mostly-unique keys, the forward-sweep interval kernel on
+//!   duplicate-heavy data. A forced [`KernelChoice`] overrides the gate
+//!   (CLI `--kernel`);
 //! * **cost-aware dynamic scheduling** — cells are sorted by estimated
 //!   cost `|r_c|·|s_c|` descending and claimed one at a time from an
 //!   atomic work queue, so one skewed cell occupies one worker while the
 //!   rest drain the remainder;
-//! * **private per-worker output arenas** — each worker emits into a
-//!   capacity-reserved thread-local [`OutputBatch`] and drains it, once
-//!   per cell, into a worker-private arena `Vec` (recording only the
-//!   cell's offset range). The arena is split into per-cell slots after
-//!   the worker's last cell, so the join loop performs **zero shared-path
-//!   work and zero per-cell allocations**; per-tuple pushes into growing
-//!   shared vectors were what made self-speedup *degrade* under thread
-//!   count;
+//! * **private per-worker output slots** — each worker keeps its finished
+//!   cells in a worker-private list and the coordinator places them after
+//!   the join, so the materializing path touches no shared structure and
+//!   no channel inside the join loop; the streaming path sends each cell
+//!   to a reorder window on the calling thread instead;
 //! * **per-shard page reservations** — a worker can pin its share of a
 //!   [`PagePool`] for its whole lifetime (the service's per-query
 //!   sub-pool), making shard memory accounting visible to admission
 //!   control without taking a lock inside the join loop.
 //!
 //! Output stays deterministic regardless of scheduling: the kernel gate
-//! depends only on cell data (never on thread count), every cell's result
-//! lands in its own slot at gather time, and the slots are flattened in
-//! time-major cell order.
+//! depends only on cell data (never on thread count), and cells reach the
+//! sink in time-major cell order.
 //!
-//! **Columnar batch execution.** By default ([`Layout::Columnar`]) the
-//! executor encodes both relations struct-of-arrays once at scatter time
-//! ([`vtjoin_join::columnar::ColumnarSide`]: flat start/end chronon
-//! columns, a pre-hashed key column, and a dictionary-compressed key-id
-//! column shared across sides) and scatters **row ids** into grid cells
-//! instead of cloning tuple references per cell. Workers run the columnar
-//! kernel mirrors ([`vtjoin_join::kernel::columnar`]) over gathered
-//! column slices — the sweep's endpoint sort is a stable LSD radix sort
-//! on biased start chronons — and emit `(row, row)` pairs,
-//! materializing result tuples once per cell flush. The output (and every
-//! kernel counter) is byte-identical to [`Layout::Row`], which keeps the
-//! pre-columnar loop for A/B measurement (`bench_columnar`).
+//! **One scheduler.** Every engine thread starts in `scoped_workers`: it
+//! spawns `min(threads, work items)` scoped workers, joins them, and maps
+//! a worker panic to [`JoinError::Internal`] — a bug fails one request,
+//! never the process.
 //!
-//! **Generalized predicates.** The `_pred` entry points evaluate an
-//! arbitrary [`JoinPredicate`]. Intersection-template predicates run the
-//! grid path above with the predicate-filtering kernel variants (the
+//! **Generalized predicates.** Intersection-template predicates run the
+//! grid path above with the predicate-filtering kernels (the
 //! canonical-cell emit rule still de-duplicates, because every
 //! intersection match is stamped with its overlap). Sequence and mixed
 //! templates — whose matches may share no partition — run the
 //! predicate-aware merge fallback instead: the outer relation is split
-//! into contiguous chunks, one per worker, and each chunk is merged
-//! against the whole inner side. Chunk outputs concatenate back to outer
+//! into contiguous chunks, one work item each, and each chunk is merged
+//! against the whole inner side. Chunk outputs reach the sink in outer
 //! order, so this path is also deterministic across thread counts.
 
+use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::Instant;
-use vtjoin_core::{Interval, JoinPredicate, Relation, Tuple};
+use std::time::{Duration, Instant};
+use vtjoin_core::{Interval, JoinPredicate, Relation, Schema, Tuple};
 use vtjoin_join::columnar::{encode_pair, ColumnarCounters, ColumnarSide, IdBatch, Layout};
 use vtjoin_join::common::JoinSpec;
 use vtjoin_join::kernel::{
-    choose_kernel, choose_kernel_ids, columnar_hash_join, columnar_hash_join_pred,
-    columnar_sweep_join, columnar_sweep_join_pred, hash_join, hash_join_pred, merge_join_pred,
-    sweep_join, sweep_join_pred, ColumnarScratch, KernelChoice, KernelCounters, KernelKind,
-    OutputBatch, PredicateCounters, SweepScratch,
+    choose_kernel_ids, columnar_hash_join, columnar_sweep_join, merge_join_pred, ColumnarScratch,
+    KernelChoice, KernelCounters, KernelKind, OutputBatch, PredicateCounters,
 };
 use vtjoin_join::partition::intervals::{is_partitioning, replica_range};
 use vtjoin_join::partition::GridPlan;
+use vtjoin_join::JoinError;
 use vtjoin_obs::{
     ColumnarSection, ConfigSection, Counter, ExecutionReport, GridSection, IoSection,
     KernelSection, PhaseSection, PredicateSection, ResultSection, SkewSection, WorkerSection,
 };
 use vtjoin_storage::PagePool;
 
-/// Joins `r ⋈ᵛ s` by replicating tuples into every overlapping partition
-/// and joining the partitions on `threads` worker threads.
-///
-/// Returns the join result; the output order is deterministic (partition
-/// order, then per-partition probe order) regardless of thread scheduling.
-pub fn parallel_partition_join(
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    threads: usize,
-) -> Result<Relation, vtjoin_join::JoinError> {
-    parallel_partition_join_with(r, s, intervals, threads, KernelChoice::Auto)
+/// What [`run`] executes: a grid, a kernel policy, a predicate, a worker
+/// count and an optional shard pool.
+#[derive(Debug, Clone)]
+pub struct ExecPlan {
+    /// `grid.key_buckets` hash buckets × `grid.intervals` time ranges
+    /// (the 1×N grid is time-only execution).
+    pub grid: GridPlan,
+    /// Intra-cell kernel policy (ignored by the merge fallback).
+    pub kernel: KernelChoice,
+    /// The temporal join predicate.
+    pub predicate: JoinPredicate,
+    /// Requested worker threads; `min(threads, work items)` are spawned.
+    pub threads: usize,
+    /// Each worker pins `pages` pages of this pool for its lifetime (the
+    /// service's per-query sub-pool). Best-effort: a share the pool cannot
+    /// grant does not block or fail the join.
+    pub shard_pool: Option<(PagePool, u64)>,
 }
 
-/// As [`parallel_partition_join`], with an explicit kernel policy: force
-/// the hash or sweep kernel everywhere, or let the per-partition gate
-/// decide (`KernelChoice::Auto`, the default). All policies produce the
-/// same result multiset; only the work profile differs.
-pub fn parallel_partition_join_with(
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    threads: usize,
-    choice: KernelChoice,
-) -> Result<Relation, vtjoin_join::JoinError> {
-    parallel_partition_join_layout(r, s, intervals, threads, choice, Layout::default())
-}
-
-/// As [`parallel_partition_join_with`], with an explicit physical
-/// [`Layout`]: the columnar struct-of-arrays path (the default) or the
-/// row-at-a-time path. Both layouts produce byte-identical output; only
-/// the work profile differs. `bench_columnar` A/Bs the two.
-pub fn parallel_partition_join_layout(
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    threads: usize,
-    choice: KernelChoice,
-    layout: Layout,
-) -> Result<Relation, vtjoin_join::JoinError> {
-    execute(
-        r,
-        s,
-        intervals,
-        1,
-        threads,
-        choice,
-        layout,
-        &JoinPredicate::intersects(),
-        None,
-    )
-    .map(|(rel, _)| rel)
-}
-
-/// As [`parallel_partition_join`], evaluating an arbitrary
-/// [`JoinPredicate`] instead of the natural intersection predicate.
-///
-/// Intersection-template predicates run the partitioned executor with
-/// predicate-filtering kernels; sequence/mixed templates run the merge
-/// fallback (see the module documentation) and ignore `intervals` beyond
-/// validating them.
-pub fn parallel_partition_join_pred(
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    threads: usize,
-    pred: &JoinPredicate,
-) -> Result<Relation, vtjoin_join::JoinError> {
-    execute(
-        r,
-        s,
-        intervals,
-        1,
-        threads,
-        KernelChoice::Auto,
-        Layout::default(),
-        pred,
-        None,
-    )
-    .map(|(rel, _)| rel)
-}
-
-/// As [`parallel_partition_join`], but also reports a per-worker breakdown
-/// (partitions claimed, tuples emitted, wall-clock and busy time) for the
-/// execution report's `workers` section.
-///
-/// **Worker-count contract**: exactly `min(threads.max(1), cells)` workers
-/// are spawned and reported — a worker without a cell to claim would only
-/// report zeros, so none is created. The tuple counts are deterministic in
-/// aggregate; which worker claims which cell, and the wall-clock figures,
-/// are not.
-pub fn parallel_partition_join_reported(
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    threads: usize,
-) -> Result<(Relation, Vec<WorkerSection>), vtjoin_join::JoinError> {
-    let (rel, detail) = execute(
-        r,
-        s,
-        intervals,
-        1,
-        threads,
-        KernelChoice::Auto,
-        Layout::default(),
-        &JoinPredicate::intersects(),
-        None,
-    )?;
-    Ok((rel, detail.workers))
-}
-
-/// Joins `r ⋈ᵛ s` over a 2D (key × time) [`GridPlan`]: `plan.key_buckets`
-/// hash buckets × `plan.intervals` time ranges, joined cell-by-cell on
-/// `threads` workers. The 1×N plan is byte-identical to
-/// [`parallel_partition_join`]; a K×N plan reorders output (time-major
-/// cell order) but is deterministic at every thread count and emits the
-/// same result multiset.
-pub fn grid_partition_join(
-    r: &Relation,
-    s: &Relation,
-    plan: &GridPlan,
-    threads: usize,
-) -> Result<Relation, vtjoin_join::JoinError> {
-    grid_partition_join_with(r, s, plan, threads, KernelChoice::Auto)
-}
-
-/// As [`grid_partition_join`], with an explicit kernel policy.
-pub fn grid_partition_join_with(
-    r: &Relation,
-    s: &Relation,
-    plan: &GridPlan,
-    threads: usize,
-    choice: KernelChoice,
-) -> Result<Relation, vtjoin_join::JoinError> {
-    execute(
-        r,
-        s,
-        &plan.intervals,
-        plan.key_buckets,
-        threads,
-        choice,
-        Layout::default(),
-        &JoinPredicate::intersects(),
-        None,
-    )
-    .map(|(rel, _)| rel)
-}
-
-/// As [`grid_partition_join`], evaluating an arbitrary [`JoinPredicate`].
-/// Sequence/mixed templates run the merge fallback, which ignores the
-/// grid shape entirely.
-pub fn grid_partition_join_pred(
-    r: &Relation,
-    s: &Relation,
-    plan: &GridPlan,
-    threads: usize,
-    pred: &JoinPredicate,
-) -> Result<Relation, vtjoin_join::JoinError> {
-    execute(
-        r,
-        s,
-        &plan.intervals,
-        plan.key_buckets,
-        threads,
-        KernelChoice::Auto,
-        Layout::default(),
-        pred,
-        None,
-    )
-    .map(|(rel, _)| rel)
-}
-
-/// Everything [`execute`] measured beyond the result itself; consumed by
-/// [`parallel_execution_report`] and the worker-section wrapper.
-struct ExecDetail {
-    workers: Vec<WorkerSection>,
-    /// Per-cell estimated costs `|r_c|·|s_c|`, time-major.
-    est_costs: Vec<u64>,
-    /// Total tuple references after replication, per input side.
-    replicated_r: u64,
-    replicated_s: u64,
-    /// `|r| + |s|` before replication (replication-factor denominator).
-    input_tuples: u64,
-    /// Grid shape the run executed (1 × N for the time-only surface).
-    key_buckets: u64,
-    /// Aggregated hash-kernel BlockTable counters across all cells.
-    probes: u64,
-    match_tests: u64,
-    /// Per-kernel accounting, merged across workers.
-    kernel: KernelCounters,
-    /// Predicate-filter / merge-fallback accounting, merged across
-    /// workers; all-zero for the natural join.
-    predicate: PredicateCounters,
-    /// Wall-clock of the replicate and join phases, in microseconds.
-    replicate_micros: u64,
-    join_micros: u64,
-    /// Wall-clock the coordinator spent gathering worker results (the
-    /// scatter/gather join loop), in microseconds.
-    coordinator_wait_micros: u64,
-    /// Columnar-path accounting; `None` for row-layout and merge-fallback
-    /// runs (the report then carries no `columnar` section).
-    columnar: Option<ColumnarCounters>,
-}
-
-/// Replicates a relation's tuples into one bucket per partition under the
-/// shared Leung–Muntz rule (`replica_range`).
-fn replicate<'a>(rel: &'a Relation, intervals: &[Interval]) -> Vec<Vec<&'a Tuple>> {
-    let mut parts: Vec<Vec<&Tuple>> = vec![Vec::new(); intervals.len()];
-    for t in rel.iter() {
-        for i in replica_range(intervals, t.valid()) {
-            parts[i].push(t);
+impl ExecPlan {
+    /// The natural join over `grid` on `threads` workers, with the
+    /// automatic kernel gate and no shard pool.
+    pub fn new(grid: GridPlan, threads: usize) -> ExecPlan {
+        ExecPlan {
+            grid,
+            kernel: KernelChoice::Auto,
+            predicate: JoinPredicate::intersects(),
+            threads,
+            shard_pool: None,
         }
     }
-    parts
 }
 
-/// Scatters a relation over the grid: bucket = masked join-key hash,
-/// partitions = the Leung–Muntz `replica_range` — so a tuple replicates
-/// only along the time axis, landing in `i * k + b` for each overlapped
-/// time range `i`. With one bucket the hash is skipped entirely, keeping
-/// the 1×N path's cost identical to the pre-grid executor.
-fn replicate_cells<'a>(
-    rel: &'a Relation,
+/// Where [`run`] delivers the result: non-empty per-cell (or per-chunk)
+/// batches, on the calling thread, in deterministic time-major order.
+pub trait Sink {
+    /// `true` to receive each batch as soon as it is complete and next in
+    /// order (the coordinator runs a reorder window while the workers
+    /// join); `false` to receive every batch after the last worker ends.
+    fn streams(&self) -> bool;
+    /// Called once per run, before any batch, with the result schema.
+    fn open(&mut self, schema: &Arc<Schema>);
+    /// Called before a non-streaming run delivers more than one batch,
+    /// with the total tuple count of those batches.
+    fn reserve(&mut self, tuples: usize);
+    /// Receives the next batch.
+    fn push(&mut self, batch: Vec<Tuple>);
+}
+
+/// Collects a run's batches into one [`Relation`].
+#[derive(Debug, Default)]
+pub struct MaterializeSink {
+    schema: Option<Arc<Schema>>,
+    tuples: Vec<Tuple>,
+}
+
+impl MaterializeSink {
+    /// The collected result. Call after a successful [`run`].
+    pub fn into_relation(self) -> Relation {
+        let schema = self.schema.expect("run() opens its sink before any Ok");
+        Relation::from_parts_unchecked(schema, self.tuples)
+    }
+}
+
+impl Sink for MaterializeSink {
+    fn streams(&self) -> bool {
+        false
+    }
+
+    fn open(&mut self, schema: &Arc<Schema>) {
+        self.schema = Some(Arc::clone(schema));
+    }
+
+    fn reserve(&mut self, tuples: usize) {
+        self.tuples.reserve_exact(tuples);
+    }
+
+    fn push(&mut self, batch: Vec<Tuple>) {
+        // Nothing reserved means this batch is the whole result (one merge
+        // chunk or one occupied cell): adopt it instead of copying it.
+        if self.tuples.capacity() == 0 {
+            self.tuples = batch;
+        } else {
+            self.tuples.extend(batch);
+        }
+    }
+}
+
+/// What a streamed run delivered: how many wire batches the sink saw and
+/// how many tuples they carried in total.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StreamSummary {
+    /// Non-empty batches handed to the sink.
+    pub batches: u64,
+    /// Total tuples across all batches.
+    pub tuples: u64,
+}
+
+/// Forwards each batch to a callback as soon as it is both *complete* and
+/// *next in deterministic order*, so the stream is identical at every
+/// thread count even though cells complete out of order.
+///
+/// The callback runs on the calling thread, between channel receives: a
+/// slow consumer backpressures the coordinator, not the workers (cells
+/// buffer in the reorder window). If [`run`] returns `Err`, the batches
+/// already delivered are a truncated stream.
+pub struct StreamSink<'a> {
+    sink: &'a mut dyn FnMut(Vec<Tuple>),
+    summary: StreamSummary,
+}
+
+impl<'a> StreamSink<'a> {
+    /// A stream into `sink`.
+    pub fn new(sink: &'a mut dyn FnMut(Vec<Tuple>)) -> StreamSink<'a> {
+        StreamSink {
+            sink,
+            summary: StreamSummary::default(),
+        }
+    }
+
+    /// Batches and tuples delivered so far.
+    pub fn summary(&self) -> StreamSummary {
+        self.summary
+    }
+}
+
+impl Sink for StreamSink<'_> {
+    fn streams(&self) -> bool {
+        true
+    }
+
+    fn open(&mut self, _schema: &Arc<Schema>) {}
+
+    fn reserve(&mut self, _tuples: usize) {}
+
+    fn push(&mut self, batch: Vec<Tuple>) {
+        self.summary.batches += 1;
+        self.summary.tuples += batch.len() as u64;
+        (self.sink)(batch);
+    }
+}
+
+/// Starts every engine worker thread: spawns `min(threads, items)` scoped
+/// workers (worker `w` runs the body `spawn(w)` builds on the calling
+/// thread), runs `coordinate` on the calling thread while they work, and
+/// joins them all. Results come back in worker order. `spawn` is dropped
+/// once every worker has started, so anything it owns (a channel sender)
+/// is released before `coordinate` runs.
+///
+/// A panicking worker (a bug, not a data error) surfaces as
+/// [`JoinError::Internal`] on this one request instead of taking the
+/// process down; its RAII guards (page reservations) unwind normally.
+pub(crate) fn scoped_workers<F, T, C>(
+    threads: usize,
+    items: usize,
+    mut spawn: impl FnMut(usize) -> F,
+    coordinate: impl FnOnce() -> C,
+) -> Result<(Vec<T>, C), JoinError>
+where
+    F: FnOnce() -> T + Send,
+    T: Send,
+{
+    let n = threads.max(1).min(items);
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..n).map(|w| scope.spawn(spawn(w))).collect();
+        drop(spawn);
+        let coordinated = coordinate();
+        let mut results = Vec::with_capacity(n);
+        let mut panicked = false;
+        for h in handles {
+            match h.join() {
+                Ok(t) => results.push(t),
+                Err(_) => panicked = true,
+            }
+        }
+        if panicked {
+            return Err(JoinError::Internal("engine worker panicked"));
+        }
+        Ok((results, coordinated))
+    })
+}
+
+/// Scatters an encoded side's **row ids** over the grid: bucket = masked
+/// key hash (read from the pre-hashed column), partitions = the
+/// Leung–Muntz `replica_range` over the inline chronon columns — so a row
+/// replicates only along the time axis, landing in `i * k + b` for each
+/// overlapped time range `i`. With one bucket the hash is not read.
+pub(crate) fn scatter_rows(
+    side: &ColumnarSide<'_>,
     intervals: &[Interval],
     k: usize,
-    hash: impl Fn(&Tuple) -> u64,
-) -> Vec<Vec<&'a Tuple>> {
-    let mut cells: Vec<Vec<&Tuple>> = vec![Vec::new(); intervals.len() * k];
-    let mask = k as u64 - 1;
-    for t in rel.iter() {
-        let b = if k == 1 { 0 } else { (hash(t) & mask) as usize };
-        for i in replica_range(intervals, t.valid()) {
-            cells[i * k + b].push(t);
-        }
-    }
-    cells
-}
-
-/// Scatters an encoded side's **row ids** over the grid under the same
-/// membership rule as [`replicate_cells`]: bucket = masked key hash (read
-/// from the pre-hashed column), partitions = the Leung–Muntz
-/// `replica_range` over the inline chronon columns. Because the hashes
-/// are the same `JoinSpec` key hashes, a row lands in exactly the cells
-/// its tuple lands in under the row layout, in the same order.
-fn scatter_rows(side: &ColumnarSide<'_>, intervals: &[Interval], k: usize) -> Vec<Vec<u32>> {
+) -> Vec<Vec<u32>> {
     let mut cells: Vec<Vec<u32>> = vec![Vec::new(); intervals.len() * k];
     let mask = k as u64 - 1;
     for row in 0..side.len() as u32 {
@@ -351,314 +301,144 @@ fn scatter_rows(side: &ColumnarSide<'_>, intervals: &[Interval], k: usize) -> Ve
     cells
 }
 
-#[allow(clippy::too_many_arguments)]
-fn execute(
+/// Everything a run measured beyond the result itself; rendered by
+/// [`build_report`].
+struct ExecDetail {
+    workers: Vec<WorkerSection>,
+    /// Per-item estimated costs (`|r_c|·|s_c|` per cell, time-major).
+    est_costs: Vec<u64>,
+    /// Total tuple references after replication, per input side.
+    replicated_r: u64,
+    replicated_s: u64,
+    /// `|r| + |s|` before replication (replication-factor denominator).
+    input_tuples: u64,
+    /// Grid shape the run executed (1 × N for the time-only surface).
+    key_buckets: u64,
+    /// Aggregated hash-kernel probe/match-test counters across all cells.
+    probes: u64,
+    match_tests: u64,
+    /// Per-kernel accounting, merged across workers.
+    kernel: KernelCounters,
+    /// Predicate-filter / merge-fallback accounting, merged across
+    /// workers; all-zero for the natural join.
+    predicate: PredicateCounters,
+    /// Wall-clock of the replicate and join phases, in microseconds.
+    replicate_micros: u64,
+    join_micros: u64,
+    /// Wall-clock the coordinator spent gathering worker results, in
+    /// microseconds.
+    coordinator_wait_micros: u64,
+    /// Columnar-path accounting; `None` for merge-fallback runs (the
+    /// report then carries no `columnar` section).
+    columnar: Option<ColumnarCounters>,
+}
+
+/// Joins `r ⋈ᵛ s` as `plan` says and delivers the result to `sink`,
+/// returning the run's [`ExecutionReport`] (algorithm `"parallel"`).
+///
+/// The 1×N grid is time-only execution; a K×N grid orders output
+/// time-major by cell but is deterministic at every thread count and
+/// emits the same result multiset. Sequence/mixed predicate templates run
+/// the merge fallback, which ignores the grid shape beyond validating its
+/// intervals.
+///
+/// **Worker-count contract**: exactly `min(threads.max(1), cells)` workers
+/// are spawned and reported — a worker without a cell to claim would only
+/// report zeros, so none is created. Tuple counts are deterministic in
+/// aggregate; which worker claims which cell, and the wall-clock figures,
+/// are not.
+///
+/// The report is entirely in-memory: all I/O sections are zero, the
+/// result page count is zero, and `buffer_pages`/`seed` in the config
+/// section are zero. Counters carry the partition count, requested
+/// threads, spawned workers, replicated tuple counts per side, and the
+/// hash kernel's aggregated probe/match-test counters; the `kernel`
+/// section carries the per-kernel cell split, sweep comparisons, and
+/// batches flushed; the `grid` section the grid shape, cell occupancy and
+/// share, time-axis replication factor, and coordinator gather wait; the
+/// `columnar` section the encode, radix, dictionary and materialization
+/// accounting. Non-natural runs add a `predicate` section; merge-fallback
+/// runs carry no `kernel`, `grid` or `columnar` section, since no cell
+/// kernel is invoked.
+pub fn run(
+    plan: &ExecPlan,
     r: &Relation,
     s: &Relation,
-    intervals: &[Interval],
-    key_buckets: u64,
-    threads: usize,
-    choice: KernelChoice,
-    layout: Layout,
-    pred: &JoinPredicate,
-    shard_pool: Option<(&PagePool, u64)>,
-) -> Result<(Relation, ExecDetail), vtjoin_join::JoinError> {
+    sink: &mut dyn Sink,
+) -> Result<ExecutionReport, JoinError> {
     // A typed error, not an assert: the intervals may arrive from a plan
     // cache or an external request, and a malformed set must fail the one
     // request instead of taking the process down.
-    if !is_partitioning(intervals) {
-        return Err(vtjoin_join::JoinError::Precondition(
+    if !is_partitioning(&plan.grid.intervals) {
+        return Err(JoinError::Precondition(
             "intervals must partition all of valid time (sorted, gapless, ending at forever)",
         ));
     }
+    let spec = JoinSpec::natural(r.schema(), s.schema())?;
+    sink.open(spec.out_schema());
     // Sequence/mixed templates cannot be served by time partitioning (a
     // matching pair may share no partition); they run the merge fallback.
-    // The fallback is row-only: it scans every (outer, inner) pair once,
-    // so a columnar encode would add a pass without removing one.
-    if !pred.partitioning_eligible() {
-        return execute_merge(r, s, threads, pred);
-    }
-    match layout {
-        Layout::Row => execute_row(
-            r,
-            s,
-            intervals,
-            key_buckets,
-            threads,
-            choice,
-            pred,
-            shard_pool,
-        ),
-        Layout::Columnar => execute_columnar(
-            r,
-            s,
-            intervals,
-            key_buckets,
-            threads,
-            choice,
-            pred,
-            shard_pool,
-        ),
-    }
-}
-
-/// The row-layout grid executor (the pre-columnar hot loop, kept intact
-/// as the `bench_columnar` A/B baseline): cells hold `&Tuple` references
-/// and the row kernels splice result tuples as they match.
-#[allow(clippy::too_many_arguments)]
-fn execute_row(
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    key_buckets: u64,
-    threads: usize,
-    choice: KernelChoice,
-    pred: &JoinPredicate,
-    shard_pool: Option<(&PagePool, u64)>,
-) -> Result<(Relation, ExecDetail), vtjoin_join::JoinError> {
-    let spec = JoinSpec::natural(r.schema(), s.schema())?;
-    let k = key_buckets.max(1).next_power_of_two() as usize;
-    let n_cells = intervals.len() * k;
-    let natural = pred.is_natural();
-
-    let replicate_started = Instant::now();
-    let r_cells = replicate_cells(r, intervals, k, |t| spec.outer_key_hash(t));
-    let s_cells = replicate_cells(s, intervals, k, |t| spec.inner_key_hash(t));
-    let replicate_micros = replicate_started.elapsed().as_micros() as u64;
-
-    let est_costs: Vec<u64> = (0..n_cells)
-        .map(|c| r_cells[c].len() as u64 * s_cells[c].len() as u64)
-        .collect();
-    // Heaviest cells first, so the work-stealing tail is short.
-    let mut order: Vec<usize> = (0..n_cells).collect();
-    order.sort_by_key(|&c| std::cmp::Reverse(est_costs[c]));
-
-    let num_workers = threads.max(1).min(n_cells);
-    let next = AtomicUsize::new(0);
-
-    let join_started = Instant::now();
-    let mut outputs: Vec<Vec<Tuple>> = vec![Vec::new(); n_cells];
-    let mut workers: Vec<WorkerSection> = Vec::with_capacity(num_workers);
-    let mut probes = 0u64;
-    let mut match_tests = 0u64;
-    let mut kernel = KernelCounters::default();
-    let mut predicate = PredicateCounters::default();
-    let mut coordinator_wait_micros = 0u64;
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(num_workers);
-        for w in 0..num_workers {
-            let spec = &spec;
-            let r_cells = &r_cells;
-            let s_cells = &s_cells;
-            let order = &order;
-            let est_costs = &est_costs;
-            let next = &next;
-            handles.push(scope.spawn(move || {
-                // Pin this shard's page share for the worker's whole
-                // lifetime (RAII release on return). Best-effort: a share
-                // the pool cannot grant right now does not block the join,
-                // it only goes unaccounted.
-                let _reservation = shard_pool.and_then(|(pool, pages)| pool.try_reserve(pages));
-                let started = Instant::now();
-                let mut cells = 0u64;
-                let mut tuples = 0u64;
-                let mut busy = std::time::Duration::ZERO;
-                let mut probes = 0u64;
-                let mut match_tests = 0u64;
-                let mut kernel = KernelCounters::default();
-                let mut predicate = PredicateCounters::default();
-                // Reused across every cell this worker steals: sweep
-                // event/active-list buffers and the output batch grow to
-                // the workload's high-water mark once, then never again.
-                let mut scratch = SweepScratch::default();
-                let mut batch = OutputBatch::new();
-                // Worker-private output arena: each cell's tuples are
-                // drained here contiguously and only the (cell, len) range
-                // recorded, so the join loop allocates no per-cell vectors
-                // and touches no shared output path.
-                let mut sink: Vec<Tuple> = Vec::new();
-                let mut ranges: Vec<(usize, usize)> = Vec::new();
-                // Running emitted-tuples-per-estimated-cost ratio, used to
-                // reserve output capacity before joining each cell.
-                let mut emitted_total = 0u64;
-                let mut cost_total = 0u64;
-                loop {
-                    let q = next.fetch_add(1, Ordering::Relaxed);
-                    if q >= order.len() {
-                        break;
-                    }
-                    let c = order[q];
-                    // The cell's canonical emit window is its time range:
-                    // a pair co-resident in several cells of its bucket
-                    // row is emitted only where the overlap's endpoint
-                    // falls (the canonical-cell rule).
-                    let p_c = intervals[c / k];
-                    let claimed = Instant::now();
-                    let before = sink.len();
-                    if !r_cells[c].is_empty() && !s_cells[c].is_empty() {
-                        let est = if cost_total > 0 {
-                            ((emitted_total as u128 * est_costs[c] as u128 / cost_total as u128)
-                                as usize)
-                                .max(16)
-                        } else {
-                            // First cell: no ratio yet; a side's size is
-                            // the output floor for a key-dense join.
-                            r_cells[c].len().max(s_cells[c].len())
-                        };
-                        batch.begin(est);
-                        match choose_kernel(choice, spec, &r_cells[c], &s_cells[c]) {
-                            KernelKind::Hash => {
-                                let hs = if natural {
-                                    hash_join(spec, &r_cells[c], &s_cells[c], p_c, &mut batch)
-                                } else {
-                                    hash_join_pred(
-                                        spec,
-                                        pred,
-                                        &r_cells[c],
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut batch,
-                                    )
-                                };
-                                probes += hs.probes;
-                                match_tests += hs.match_tests;
-                                predicate.filter_checks += hs.filter_checks;
-                                predicate.filter_hits += hs.filter_hits;
-                                kernel.hash_partitions += 1;
-                            }
-                            KernelKind::Sweep => {
-                                let ss = if natural {
-                                    sweep_join(
-                                        spec,
-                                        &r_cells[c],
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    )
-                                } else {
-                                    sweep_join_pred(
-                                        spec,
-                                        pred,
-                                        &r_cells[c],
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    )
-                                };
-                                kernel.sweep_partitions += 1;
-                                kernel.sweep_comparisons += ss.comparisons;
-                                predicate.filter_checks += ss.filter_checks;
-                                predicate.filter_hits += ss.filter_hits;
-                            }
-                        }
-                        emitted_total += batch.len() as u64;
-                        cost_total += est_costs[c];
-                        // One flush per cell into the private arena; the
-                        // batch keeps its allocation for the next cell.
-                        batch.drain_each(|t| sink.push(t));
-                    }
-                    busy += claimed.elapsed();
-                    cells += 1;
-                    tuples += (sink.len() - before) as u64;
-                    ranges.push((c, sink.len() - before));
-                }
-                kernel.batches_flushed = batch.batches_flushed();
-                // Split the arena into per-cell slots — once, after the
-                // last cell, off the join loop's critical path.
-                let mut produced: Vec<(usize, Vec<Tuple>)> = Vec::with_capacity(ranges.len());
-                let mut it = sink.into_iter();
-                for (cell, len) in ranges {
-                    produced.push((cell, it.by_ref().take(len).collect()));
-                }
-                let section = WorkerSection {
-                    worker: w as u64,
-                    partitions: cells,
-                    tuples,
-                    wall_micros: started.elapsed().as_micros() as u64,
-                    busy_micros: busy.as_micros() as u64,
-                };
-                (section, produced, probes, match_tests, kernel, predicate)
-            }));
-        }
-        let gather_started = Instant::now();
-        let mut worker_panicked = false;
-        for h in handles {
-            // A panicking worker (a bug, not a data error) must surface as
-            // a typed error on this one request, not abort the service.
-            match h.join() {
-                Ok((section, produced, p, m, kc, pc)) => {
-                    workers.push(section);
-                    probes += p;
-                    match_tests += m;
-                    kernel.merge(kc);
-                    predicate.merge(pc);
-                    for (c, out) in produced {
-                        outputs[c] = out;
-                    }
-                }
-                Err(_) => worker_panicked = true,
-            }
-        }
-        coordinator_wait_micros = gather_started.elapsed().as_micros() as u64;
-        if worker_panicked {
-            return Err(vtjoin_join::JoinError::Internal(
-                "partition worker panicked",
-            ));
-        }
-        Ok(())
-    })?;
-    let join_micros = join_started.elapsed().as_micros() as u64;
-
-    let tuples: Vec<Tuple> = outputs.into_iter().flatten().collect();
-    let rel = Relation::from_parts_unchecked(Arc::clone(spec.out_schema()), tuples);
-    let detail = ExecDetail {
-        workers,
-        replicated_r: r_cells.iter().map(|p| p.len() as u64).sum(),
-        replicated_s: s_cells.iter().map(|p| p.len() as u64).sum(),
-        input_tuples: r.len() as u64 + s.len() as u64,
-        key_buckets: k as u64,
-        est_costs,
-        probes,
-        match_tests,
-        kernel,
-        predicate,
-        replicate_micros,
-        join_micros,
-        coordinator_wait_micros,
-        columnar: None,
+    let detail = if plan.predicate.partitioning_eligible() {
+        run_cells(plan, &spec, r, s, sink)?
+    } else {
+        run_merge(plan, &spec, r, s, sink)?
     };
-    Ok((rel, detail))
+    Ok(build_report(detail, plan))
 }
 
-/// The columnar grid executor: both relations are encoded
-/// struct-of-arrays **once** ([`encode_pair`] — flat chronon columns,
-/// pre-hashed keys, a shared key dictionary), row ids are scattered into
-/// grid cells instead of tuple references, and the workers run the
-/// columnar kernel mirrors over column slices, emitting `(row, row)`
-/// pairs. Each cell's pairs are late-materialized into
-/// result tuples in one pass at flush time. Output, output order, and
-/// every kernel counter are byte-identical to [`execute_row`]; the run
-/// additionally reports [`ColumnarCounters`].
-#[allow(clippy::too_many_arguments)]
-fn execute_columnar(
+/// Compatibility entry point for the `perfbench` crate: [`run`] over
+/// `plan`, materialized. `Layout` selects nothing.
+#[doc(hidden)]
+pub fn grid_execution_report_layout(
     r: &Relation,
     s: &Relation,
-    intervals: &[Interval],
-    key_buckets: u64,
+    plan: &GridPlan,
     threads: usize,
     choice: KernelChoice,
     pred: &JoinPredicate,
-    shard_pool: Option<(&PagePool, u64)>,
-) -> Result<(Relation, ExecDetail), vtjoin_join::JoinError> {
-    let spec = JoinSpec::natural(r.schema(), s.schema())?;
-    let k = key_buckets.max(1).next_power_of_two() as usize;
+    _layout: Layout,
+) -> Result<(Relation, ExecutionReport), JoinError> {
+    let mut plan = ExecPlan::new(plan.clone(), threads);
+    (plan.kernel, plan.predicate) = (choice, *pred);
+    let mut out = MaterializeSink::default();
+    let report = run(&plan, r, s, &mut out)?;
+    Ok((out.into_relation(), report))
+}
+
+/// One worker's reusable cell-join state: kernel scratch, the id-pair
+/// batch, and the counters it accumulates across every cell it claims.
+#[derive(Default)]
+struct CellWorker {
+    scratch: ColumnarScratch,
+    batch: IdBatch,
+    probes: u64,
+    match_tests: u64,
+    kernel: KernelCounters,
+    predicate: PredicateCounters,
+    columnar: ColumnarCounters,
+    /// Running emitted-pairs-per-estimated-cost ratio, used to reserve
+    /// batch capacity before joining each cell.
+    emitted_total: u64,
+    cost_total: u64,
+}
+
+/// The grid path: encode both relations struct-of-arrays **once**
+/// ([`encode_pair`]), scatter row ids into cells, and join the cells
+/// heaviest-first through [`deliver`].
+fn run_cells(
+    plan: &ExecPlan,
+    spec: &JoinSpec,
+    r: &Relation,
+    s: &Relation,
+    sink: &mut dyn Sink,
+) -> Result<ExecDetail, JoinError> {
+    let intervals = &plan.grid.intervals;
+    let k = plan.grid.key_buckets.max(1).next_power_of_two() as usize;
     let n_cells = intervals.len() * k;
-    let natural = pred.is_natural();
+    let pred = &plan.predicate;
 
     let replicate_started = Instant::now();
-    let enc = encode_pair(&spec, r.iter(), s.iter());
+    let enc = encode_pair(spec, r.iter(), s.iter());
     let r_cells = scatter_rows(&enc.outer, intervals, k);
     let s_cells = scatter_rows(&enc.inner, intervals, k);
     let replicate_micros = replicate_started.elapsed().as_micros() as u64;
@@ -666,299 +446,142 @@ fn execute_columnar(
     let est_costs: Vec<u64> = (0..n_cells)
         .map(|c| r_cells[c].len() as u64 * s_cells[c].len() as u64)
         .collect();
+    // Heaviest cells first, so the work-stealing tail is short.
     let mut order: Vec<usize> = (0..n_cells).collect();
-    order.sort_by_key(|&c| std::cmp::Reverse(est_costs[c]));
+    order.sort_by_key(|&c| Reverse(est_costs[c]));
 
-    let num_workers = threads.max(1).min(n_cells);
-    let next = AtomicUsize::new(0);
-
-    let join_started = Instant::now();
-    let mut outputs: Vec<Vec<Tuple>> = vec![Vec::new(); n_cells];
-    let mut workers: Vec<WorkerSection> = Vec::with_capacity(num_workers);
-    let mut probes = 0u64;
-    let mut match_tests = 0u64;
-    let mut kernel = KernelCounters::default();
-    let mut predicate = PredicateCounters::default();
-    let mut columnar = ColumnarCounters::default();
-    let mut coordinator_wait_micros = 0u64;
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(num_workers);
-        for w in 0..num_workers {
-            let spec = &spec;
-            let enc = &enc;
-            let r_cells = &r_cells;
-            let s_cells = &s_cells;
-            let order = &order;
-            let est_costs = &est_costs;
-            let next = &next;
-            handles.push(scope.spawn(move || {
-                let _reservation = shard_pool.and_then(|(pool, pages)| pool.try_reserve(pages));
-                let started = Instant::now();
-                let mut cells = 0u64;
-                let mut tuples = 0u64;
-                let mut busy = std::time::Duration::ZERO;
-                let mut probes = 0u64;
-                let mut match_tests = 0u64;
-                let mut kernel = KernelCounters::default();
-                let mut predicate = PredicateCounters::default();
-                let mut columnar = ColumnarCounters::default();
-                // Reused across every cell this worker steals: radix
-                // pair/scratch buffers and the id-pair batch grow to the
-                // workload's high-water mark once, then never again.
-                let mut scratch = ColumnarScratch::default();
-                let mut batch = IdBatch::new();
-                // Per-cell output vectors, exact-sized from the batch's
-                // pair count before materializing: the id batch already
-                // knows the cell's cardinality, so — unlike the row
-                // worker's arena-then-split — no tuple is ever moved
-                // again after its one late-materialization splice.
-                let mut produced: Vec<(usize, Vec<Tuple>)> = Vec::new();
-                let mut emitted_total = 0u64;
-                let mut cost_total = 0u64;
-                loop {
-                    let q = next.fetch_add(1, Ordering::Relaxed);
-                    if q >= order.len() {
-                        break;
-                    }
-                    let c = order[q];
-                    let p_c = intervals[c / k];
-                    let claimed = Instant::now();
-                    let mut out_cell: Vec<Tuple> = Vec::new();
-                    if !r_cells[c].is_empty() && !s_cells[c].is_empty() {
-                        let est = if cost_total > 0 {
-                            ((emitted_total as u128 * est_costs[c] as u128 / cost_total as u128)
-                                as usize)
-                                .max(16)
-                        } else {
-                            r_cells[c].len().max(s_cells[c].len())
-                        };
-                        batch.begin(est);
-                        match choose_kernel_ids(
-                            choice,
-                            &enc.outer,
-                            &r_cells[c],
-                            &enc.inner,
-                            &s_cells[c],
-                        ) {
-                            KernelKind::Hash => {
-                                let hs = if natural {
-                                    columnar_hash_join(
-                                        &enc.outer,
-                                        &r_cells[c],
-                                        &enc.inner,
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    )
-                                } else {
-                                    columnar_hash_join_pred(
-                                        pred,
-                                        &enc.outer,
-                                        &r_cells[c],
-                                        &enc.inner,
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    )
-                                };
-                                probes += hs.probes;
-                                match_tests += hs.match_tests;
-                                predicate.filter_checks += hs.filter_checks;
-                                predicate.filter_hits += hs.filter_hits;
-                                kernel.hash_partitions += 1;
-                            }
-                            KernelKind::Sweep => {
-                                let (ss, radix_passes) = if natural {
-                                    columnar_sweep_join(
-                                        &enc.outer,
-                                        &r_cells[c],
-                                        &enc.inner,
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    )
-                                } else {
-                                    columnar_sweep_join_pred(
-                                        pred,
-                                        &enc.outer,
-                                        &r_cells[c],
-                                        &enc.inner,
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    )
-                                };
-                                kernel.sweep_partitions += 1;
-                                kernel.sweep_comparisons += ss.comparisons;
-                                predicate.filter_checks += ss.filter_checks;
-                                predicate.filter_hits += ss.filter_hits;
-                                columnar.radix_passes += radix_passes;
-                            }
-                        }
-                        emitted_total += batch.len() as u64;
-                        cost_total += est_costs[c];
-                        // The late-materialization pass: one splice per
-                        // buffered pair, once per cell, straight into the
-                        // exact-sized per-cell vector.
-                        out_cell.reserve_exact(batch.len());
-                        columnar.materialized_rows +=
-                            batch.materialize_each(spec, &enc.outer, &enc.inner, |t| {
-                                out_cell.push(t)
-                            });
-                    }
-                    busy += claimed.elapsed();
-                    cells += 1;
-                    tuples += out_cell.len() as u64;
-                    produced.push((c, out_cell));
-                }
-                kernel.batches_flushed = batch.batches_flushed();
-                let section = WorkerSection {
-                    worker: w as u64,
-                    partitions: cells,
-                    tuples,
-                    wall_micros: started.elapsed().as_micros() as u64,
-                    busy_micros: busy.as_micros() as u64,
-                };
-                (
-                    section,
-                    produced,
-                    probes,
-                    match_tests,
-                    kernel,
-                    predicate,
-                    columnar,
-                )
-            }));
+    let join_cell = |w: &mut CellWorker, c: usize| -> Vec<Tuple> {
+        let (rc, sc) = (&r_cells[c], &s_cells[c]);
+        if rc.is_empty() || sc.is_empty() {
+            return Vec::new();
         }
-        let gather_started = Instant::now();
-        let mut worker_panicked = false;
-        for h in handles {
-            match h.join() {
-                Ok((section, produced, p, m, kc, pc, cc)) => {
-                    workers.push(section);
-                    probes += p;
-                    match_tests += m;
-                    kernel.merge(kc);
-                    predicate.merge(pc);
-                    columnar.merge(cc);
-                    for (c, out) in produced {
-                        outputs[c] = out;
-                    }
-                }
-                Err(_) => worker_panicked = true,
+        // The cell's canonical emit window is its time range: a pair
+        // co-resident in several cells of its bucket row is emitted only
+        // where the overlap's endpoint falls (the canonical-cell rule).
+        let window = intervals[c / k];
+        let est = if w.cost_total > 0 {
+            ((w.emitted_total as u128 * est_costs[c] as u128 / w.cost_total as u128) as usize)
+                .max(16)
+        } else {
+            // First cell: no ratio yet; a side's size is the output floor
+            // for a key-dense join.
+            rc.len().max(sc.len())
+        };
+        w.batch.begin(est);
+        let (o, i) = (&enc.outer, &enc.inner);
+        match choose_kernel_ids(plan.kernel, o, rc, i, sc) {
+            KernelKind::Hash => {
+                let hs =
+                    columnar_hash_join(pred, o, rc, i, sc, window, &mut w.scratch, &mut w.batch);
+                w.probes += hs.probes;
+                w.match_tests += hs.match_tests;
+                w.predicate.filter_checks += hs.filter_checks;
+                w.predicate.filter_hits += hs.filter_hits;
+                w.kernel.hash_partitions += 1;
+            }
+            KernelKind::Sweep => {
+                let (ss, radix_passes) =
+                    columnar_sweep_join(pred, o, rc, i, sc, window, &mut w.scratch, &mut w.batch);
+                w.kernel.sweep_partitions += 1;
+                w.kernel.sweep_comparisons += ss.comparisons;
+                w.predicate.filter_checks += ss.filter_checks;
+                w.predicate.filter_hits += ss.filter_hits;
+                w.columnar.radix_passes += radix_passes;
             }
         }
-        coordinator_wait_micros = gather_started.elapsed().as_micros() as u64;
-        if worker_panicked {
-            return Err(vtjoin_join::JoinError::Internal(
-                "partition worker panicked",
-            ));
-        }
-        Ok(())
-    })?;
+        w.emitted_total += w.batch.len() as u64;
+        w.cost_total += est_costs[c];
+        // The late-materialization pass: one splice per buffered pair,
+        // once per cell, straight into the exact-sized cell vector.
+        let mut out = Vec::with_capacity(w.batch.len());
+        w.columnar.materialized_rows += w.batch.materialize_each(spec, o, i, |t| out.push(t));
+        out
+    };
+
+    let join_started = Instant::now();
+    let (ran, coordinator_wait_micros) =
+        deliver(plan, &order, sink, CellWorker::default, join_cell)?;
     let join_micros = join_started.elapsed().as_micros() as u64;
 
-    // Encode-time figures live on the pair, not the workers.
-    columnar.encode_micros = enc.encode_micros;
-    columnar.dict_size = enc.dict_size;
-
-    let tuples: Vec<Tuple> = outputs.into_iter().flatten().collect();
-    let rel = Relation::from_parts_unchecked(Arc::clone(spec.out_schema()), tuples);
-    let detail = ExecDetail {
-        workers,
+    let mut detail = ExecDetail {
+        workers: Vec::with_capacity(ran.len()),
         replicated_r: r_cells.iter().map(|p| p.len() as u64).sum(),
         replicated_s: s_cells.iter().map(|p| p.len() as u64).sum(),
         input_tuples: r.len() as u64 + s.len() as u64,
         key_buckets: k as u64,
         est_costs,
-        probes,
-        match_tests,
-        kernel,
-        predicate,
+        probes: 0,
+        match_tests: 0,
+        kernel: KernelCounters::default(),
+        predicate: PredicateCounters::default(),
         replicate_micros,
         join_micros,
         coordinator_wait_micros,
-        columnar: Some(columnar),
+        columnar: None,
     };
-    Ok((rel, detail))
+    // Encode-time figures live on the pair, not the workers.
+    let mut columnar = ColumnarCounters {
+        encode_micros: enc.encode_micros,
+        dict_size: enc.dict_size,
+        ..ColumnarCounters::default()
+    };
+    for (section, mut w) in ran {
+        w.kernel.batches_flushed = w.batch.batches_flushed();
+        detail.workers.push(section);
+        detail.probes += w.probes;
+        detail.match_tests += w.match_tests;
+        detail.kernel.merge(w.kernel);
+        detail.predicate.merge(w.predicate);
+        columnar.merge(w.columnar);
+    }
+    detail.columnar = Some(columnar);
+    Ok(detail)
 }
 
-/// The merge-fallback executor for sequence/mixed predicate templates:
-/// contiguous outer chunks, one per worker, each merged against the whole
-/// inner side by [`merge_join_pred`]. Chunk outputs concatenate back to
-/// outer order, so the result is deterministic across thread counts.
-fn execute_merge(
+/// The merge fallback for sequence/mixed predicate templates: contiguous
+/// outer chunks, one work item each, each merged against the whole inner
+/// side by [`merge_join_pred`]. Chunks reach the sink in chunk order, so
+/// the result is outer-ordered at every thread count.
+fn run_merge(
+    plan: &ExecPlan,
+    spec: &JoinSpec,
     r: &Relation,
     s: &Relation,
-    threads: usize,
-    pred: &JoinPredicate,
-) -> Result<(Relation, ExecDetail), vtjoin_join::JoinError> {
-    let spec = JoinSpec::natural(r.schema(), s.schema())?;
+    sink: &mut dyn Sink,
+) -> Result<ExecDetail, JoinError> {
     let gather_started = Instant::now();
     let r_all: Vec<&Tuple> = r.iter().collect();
     let s_all: Vec<&Tuple> = s.iter().collect();
     let replicate_micros = gather_started.elapsed().as_micros() as u64;
 
-    let num_workers = threads.max(1).min(r_all.len()).max(1);
+    let num_workers = plan.threads.max(1).min(r_all.len()).max(1);
     let chunk_len = r_all.len().div_ceil(num_workers).max(1);
     let chunks: Vec<&[&Tuple]> = r_all.chunks(chunk_len).collect();
     let est_costs: Vec<u64> = chunks
         .iter()
         .map(|c| c.len() as u64 * s_all.len() as u64)
         .collect();
+    let order: Vec<usize> = (0..chunks.len()).collect();
 
+    let merge_chunk = |pc: &mut PredicateCounters, c: usize| -> Vec<Tuple> {
+        let mut batch = OutputBatch::new();
+        batch.begin(chunks[c].len().max(16));
+        let stats = merge_join_pred(spec, &plan.predicate, chunks[c], &s_all, &mut batch);
+        pc.merge_pairs_scanned += stats.pairs_scanned;
+        pc.merge_pairs_emitted += stats.pairs_emitted;
+        batch.take()
+    };
     let join_started = Instant::now();
-    let mut outputs: Vec<Vec<Tuple>> = vec![Vec::new(); chunks.len()];
-    let mut workers: Vec<WorkerSection> = Vec::with_capacity(chunks.len());
-    let mut predicate = PredicateCounters::default();
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(chunks.len());
-        for (w, chunk) in chunks.iter().enumerate() {
-            let spec = &spec;
-            let s_all = &s_all;
-            handles.push(scope.spawn(move || {
-                let started = Instant::now();
-                let mut batch = OutputBatch::new();
-                batch.begin(chunk.len().max(16));
-                let stats = merge_join_pred(spec, pred, chunk, s_all, &mut batch);
-                let out = batch.take();
-                let elapsed = started.elapsed().as_micros() as u64;
-                let section = WorkerSection {
-                    worker: w as u64,
-                    partitions: 1,
-                    tuples: out.len() as u64,
-                    wall_micros: elapsed,
-                    busy_micros: elapsed,
-                };
-                (section, out, stats)
-            }));
-        }
-        let mut worker_panicked = false;
-        for (w, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok((section, out, stats)) => {
-                    workers.push(section);
-                    outputs[w] = out;
-                    predicate.merge_pairs_scanned += stats.pairs_scanned;
-                    predicate.merge_pairs_emitted += stats.pairs_emitted;
-                }
-                Err(_) => worker_panicked = true,
-            }
-        }
-        if worker_panicked {
-            return Err(vtjoin_join::JoinError::Internal("merge worker panicked"));
-        }
-        Ok(())
-    })?;
+    let (ran, _) = deliver(plan, &order, sink, PredicateCounters::default, merge_chunk)?;
     let join_micros = join_started.elapsed().as_micros() as u64;
 
-    let tuples: Vec<Tuple> = outputs.into_iter().flatten().collect();
-    let rel = Relation::from_parts_unchecked(Arc::clone(spec.out_schema()), tuples);
-    let detail = ExecDetail {
+    let mut predicate = PredicateCounters::default();
+    let mut workers = Vec::with_capacity(ran.len());
+    for (section, pc) in ran {
+        workers.push(section);
+        predicate.merge(pc);
+    }
+    Ok(ExecDetail {
         workers,
         replicated_r: r_all.len() as u64,
         replicated_s: s_all.len() as u64,
@@ -973,8 +596,128 @@ fn execute_merge(
         join_micros,
         coordinator_wait_micros: 0,
         columnar: None,
+    })
+}
+
+/// Cell result on its way to the reorder window.
+type Finished = (usize, Vec<Tuple>);
+
+/// The work loop, written once for every item kind (grid cells, merge
+/// chunks) and both sinks. Workers claim items in `order` from an atomic
+/// queue, `job` produces each item's tuples, and the items reach `sink`
+/// in item-index order: through the reorder window while the workers run
+/// (streaming sinks), or from the workers' private slots after the last
+/// one ends (materializing sinks — no channel, no shared path).
+///
+/// Returns each worker's report section with its final job state, plus
+/// the coordinator's gather wait in microseconds.
+fn deliver<W: Send>(
+    plan: &ExecPlan,
+    order: &[usize],
+    sink: &mut dyn Sink,
+    init: impl Fn() -> W + Sync,
+    job: impl Fn(&mut W, usize) -> Vec<Tuple> + Sync,
+) -> Result<(Vec<(WorkerSection, W)>, u64), JoinError> {
+    let n_items = order.len();
+    let next = AtomicUsize::new(0);
+    let worker = |w: usize, tx: Option<mpsc::Sender<Finished>>| {
+        // Pin this shard's page share for the worker's whole lifetime
+        // (RAII release on return or unwind). Best-effort: a share the
+        // pool cannot grant right now does not block the join, it only
+        // goes unaccounted.
+        let _reservation = plan
+            .shard_pool
+            .as_ref()
+            .and_then(|(pool, pages)| pool.try_reserve(*pages));
+        let started = Instant::now();
+        let mut state = init();
+        let (mut items, mut tuples, mut busy) = (0u64, 0u64, Duration::ZERO);
+        let mut slots: Vec<Finished> = Vec::new();
+        while let Some(&c) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let claimed = Instant::now();
+            let out = job(&mut state, c);
+            busy += claimed.elapsed();
+            items += 1;
+            tuples += out.len() as u64;
+            match &tx {
+                // Empty items still send their (empty) marker so the
+                // reorder window can advance past them. A send fails only
+                // if the coordinator is gone; the worker just stops.
+                Some(tx) => {
+                    if tx.send((c, out)).is_err() {
+                        break;
+                    }
+                }
+                None => slots.push((c, out)),
+            }
+        }
+        let section = WorkerSection {
+            worker: w as u64,
+            partitions: items,
+            tuples,
+            wall_micros: started.elapsed().as_micros() as u64,
+            busy_micros: busy.as_micros() as u64,
+        };
+        (section, state, slots)
     };
-    Ok((rel, detail))
+
+    let (tx, rx) = if sink.streams() {
+        let (tx, rx) = mpsc::channel::<Finished>();
+        (Some(tx), Some(rx))
+    } else {
+        (None, None)
+    };
+    let worker = &worker;
+    // The spawn closure owns the original sender, so the channel closes
+    // as soon as the last worker exits.
+    let spawn = move |w: usize| {
+        let tx = tx.clone();
+        move || worker(w, tx)
+    };
+    let gather_started = Instant::now();
+    let (ran, released) = scoped_workers(plan.threads, n_items, spawn, || {
+        rx.map(|rx| release_in_order(rx, n_items, sink))
+    })?;
+    let coordinator_wait_micros = gather_started.elapsed().as_micros() as u64;
+    debug_assert!(released.is_none_or(|n| n == n_items));
+
+    // Materializing sinks: place each worker's slots in item order (a
+    // streamed run left every slot list empty).
+    let mut placed: Vec<Vec<Tuple>> = vec![Vec::new(); n_items];
+    let mut out = Vec::with_capacity(ran.len());
+    for (section, state, slots) in ran {
+        for (c, tuples) in slots {
+            placed[c] = tuples;
+        }
+        out.push((section, state));
+    }
+    let batches: Vec<Vec<Tuple>> = placed.into_iter().filter(|b| !b.is_empty()).collect();
+    if batches.len() > 1 {
+        sink.reserve(batches.iter().map(Vec::len).sum());
+    }
+    for batch in batches {
+        sink.push(batch);
+    }
+    Ok((out, coordinator_wait_micros))
+}
+
+/// The streaming coordinator's reorder window: receives `(item, batch)`
+/// pairs in completion order and releases them to `sink` strictly in item
+/// order (empty batches advance the window silently). Returns how many
+/// items were released.
+fn release_in_order(rx: mpsc::Receiver<Finished>, n_items: usize, sink: &mut dyn Sink) -> usize {
+    let mut pending: Vec<Option<Vec<Tuple>>> = (0..n_items).map(|_| None).collect();
+    let mut next_out = 0usize;
+    for (c, out) in rx {
+        pending[c] = Some(out);
+        while let Some(out) = pending.get_mut(next_out).and_then(Option::take) {
+            next_out += 1;
+            if !out.is_empty() {
+                sink.push(out);
+            }
+        }
+    }
+    next_out
 }
 
 /// Computes the [`SkewSection`] of a finished parallel run from the
@@ -1003,606 +746,10 @@ fn skew_section(est_costs: &[u64], workers: &[WorkerSection]) -> SkewSection {
     }
 }
 
-/// Runs the parallel join and assembles a full [`ExecutionReport`]
-/// (algorithm `"parallel"`) with replicate/join phases, CPU counters,
-/// the per-worker breakdown, and the skew/utilization summary.
-///
-/// The run is entirely in memory: all I/O sections are zero, the result
-/// page count is zero (nothing is paged), and `buffer_pages`/`seed` in
-/// the config section are zero. Counters carry the partition count,
-/// requested threads, spawned workers, replicated tuple counts per side,
-/// and the hash kernel's aggregated `BlockTable` probe/match-test
-/// counters; the schema-v4 `kernel` section carries the per-kernel
-/// partition split, sweep comparisons, and batches flushed; the
-/// schema-v7 `grid` section carries the grid shape, cell occupancy and
-/// share, time-axis replication factor, and coordinator gather wait.
-pub fn parallel_execution_report(
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    threads: usize,
-) -> Result<(Relation, ExecutionReport), vtjoin_join::JoinError> {
-    parallel_execution_report_with(r, s, intervals, threads, KernelChoice::Auto)
-}
-
-/// As [`parallel_execution_report`], with an explicit kernel policy.
-pub fn parallel_execution_report_with(
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    threads: usize,
-    choice: KernelChoice,
-) -> Result<(Relation, ExecutionReport), vtjoin_join::JoinError> {
-    let pred = JoinPredicate::intersects();
-    let (rel, detail) = execute(
-        r,
-        s,
-        intervals,
-        1,
-        threads,
-        choice,
-        Layout::default(),
-        &pred,
-        None,
-    )?;
-    Ok(build_report(rel, detail, intervals, threads, &pred))
-}
-
-/// As [`parallel_execution_report`], evaluating an arbitrary
-/// [`JoinPredicate`]. Non-natural runs additionally carry the schema-v6
-/// `predicate` section; merge-fallback runs (sequence/mixed templates)
-/// carry no `kernel` or `grid` section, since no cell kernel is invoked.
-pub fn parallel_execution_report_pred(
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    threads: usize,
-    pred: &JoinPredicate,
-) -> Result<(Relation, ExecutionReport), vtjoin_join::JoinError> {
-    let (rel, detail) = execute(
-        r,
-        s,
-        intervals,
-        1,
-        threads,
-        KernelChoice::Auto,
-        Layout::default(),
-        pred,
-        None,
-    )?;
-    Ok(build_report(rel, detail, intervals, threads, pred))
-}
-
-/// As [`parallel_execution_report`], over an explicit [`GridPlan`].
-pub fn grid_execution_report_with(
-    r: &Relation,
-    s: &Relation,
-    plan: &GridPlan,
-    threads: usize,
-    choice: KernelChoice,
-) -> Result<(Relation, ExecutionReport), vtjoin_join::JoinError> {
-    grid_execution_report_layout(
-        r,
-        s,
-        plan,
-        threads,
-        choice,
-        &JoinPredicate::intersects(),
-        Layout::default(),
-    )
-}
-
-/// As [`grid_execution_report_with`], with an explicit physical
-/// [`Layout`] and predicate. This is the A/B surface `bench_columnar`
-/// measures: both layouts produce byte-identical output and kernel
-/// counters; columnar runs additionally carry the schema-v9 `columnar`
-/// report section.
-pub fn grid_execution_report_layout(
-    r: &Relation,
-    s: &Relation,
-    plan: &GridPlan,
-    threads: usize,
-    choice: KernelChoice,
-    pred: &JoinPredicate,
-    layout: Layout,
-) -> Result<(Relation, ExecutionReport), vtjoin_join::JoinError> {
-    let (rel, detail) = execute(
-        r,
-        s,
-        &plan.intervals,
-        plan.key_buckets,
-        threads,
-        choice,
-        layout,
-        pred,
-        None,
-    )?;
-    Ok(build_report(rel, detail, &plan.intervals, threads, pred))
-}
-
-/// As [`grid_execution_report_with`], evaluating an arbitrary
-/// [`JoinPredicate`].
-pub fn grid_execution_report_pred(
-    r: &Relation,
-    s: &Relation,
-    plan: &GridPlan,
-    threads: usize,
-    pred: &JoinPredicate,
-) -> Result<(Relation, ExecutionReport), vtjoin_join::JoinError> {
-    grid_execution_report_layout(
-        r,
-        s,
-        plan,
-        threads,
-        KernelChoice::Auto,
-        pred,
-        Layout::default(),
-    )
-}
-
-/// As [`grid_execution_report_pred`], with each shard worker pinning
-/// `pages_per_worker` pages of `pool` for its lifetime (the service's
-/// per-query sub-pool reservations). Reservation is best-effort: a share
-/// the pool cannot grant does not block or fail the join.
-#[allow(clippy::too_many_arguments)]
-pub fn grid_execution_report_sharded(
-    r: &Relation,
-    s: &Relation,
-    plan: &GridPlan,
-    threads: usize,
-    choice: KernelChoice,
-    layout: Layout,
-    pred: &JoinPredicate,
-    pool: &PagePool,
-    pages_per_worker: u64,
-) -> Result<(Relation, ExecutionReport), vtjoin_join::JoinError> {
-    let (rel, detail) = execute(
-        r,
-        s,
-        &plan.intervals,
-        plan.key_buckets,
-        threads,
-        choice,
-        layout,
-        pred,
-        Some((pool, pages_per_worker)),
-    )?;
-    Ok(build_report(rel, detail, &plan.intervals, threads, pred))
-}
-
-/// What a streamed run delivered: how many wire batches the sink saw and
-/// how many tuples they carried in total.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StreamSummary {
-    /// Non-empty batches handed to the sink.
-    pub batches: u64,
-    /// Total tuples across all batches.
-    pub tuples: u64,
-}
-
-/// As [`grid_execution_report_sharded`], but **streaming**: instead of
-/// materializing one output relation, each grid cell's result is handed to
-/// `sink` as soon as it is both *complete* and *next in deterministic
-/// order*. The wire unit is one [`OutputBatch`] flush — exactly the
-/// per-cell batch the materializing executor drains into its arena — so
-/// the concatenation of all batches is byte-identical to the
-/// materializing executor's output (time-major cell order, empty cells
-/// contributing nothing).
-///
-/// Workers send finished cells over a channel; the coordinator holds a
-/// reorder buffer and releases batches in cell order, so the stream is
-/// deterministic at every thread count even though cells complete out of
-/// order. Sequence/mixed predicate templates stream the merge fallback's
-/// outer chunks in chunk order instead.
-///
-/// The sink runs on the calling thread, between channel receives: a slow
-/// sink backpressures the coordinator, not the workers (cells buffer in
-/// the reorder window). Errors surface after any already-released batches
-/// — a caller that observes `Err` must treat the stream as truncated.
-#[allow(clippy::too_many_arguments)]
-pub fn grid_join_streamed(
-    r: &Relation,
-    s: &Relation,
-    plan: &GridPlan,
-    threads: usize,
-    choice: KernelChoice,
-    layout: Layout,
-    pred: &JoinPredicate,
-    pool: &PagePool,
-    pages_per_worker: u64,
-    sink: &mut dyn FnMut(Vec<Tuple>),
-) -> Result<StreamSummary, vtjoin_join::JoinError> {
-    if !pred.partitioning_eligible() {
-        return merge_join_streamed(r, s, threads, pred, sink);
-    }
-    let intervals = &plan.intervals;
-    if !is_partitioning(intervals) {
-        return Err(vtjoin_join::JoinError::Precondition(
-            "intervals must partition all of valid time (sorted, gapless, ending at forever)",
-        ));
-    }
-    let spec = JoinSpec::natural(r.schema(), s.schema())?;
-    let k = plan.key_buckets.max(1).next_power_of_two() as usize;
-    match layout {
-        Layout::Row => stream_cells_row(
-            &spec,
-            r,
-            s,
-            intervals,
-            k,
-            threads,
-            choice,
-            pred,
-            pool,
-            pages_per_worker,
-            sink,
-        ),
-        Layout::Columnar => stream_cells_columnar(
-            &spec,
-            r,
-            s,
-            intervals,
-            k,
-            threads,
-            choice,
-            pred,
-            pool,
-            pages_per_worker,
-            sink,
-        ),
-    }
-}
-
-/// The streaming coordinator's reorder window: receives `(cell, batch)`
-/// pairs in completion order and releases them to `sink` strictly in cell
-/// order (empty batches advance the window silently). Returns how many
-/// cells were released — fewer than `n_cells` means a worker died before
-/// sending its marker.
-fn release_in_order(
-    rx: mpsc::Receiver<(usize, Vec<Tuple>)>,
-    n_cells: usize,
-    summary: &mut StreamSummary,
-    sink: &mut dyn FnMut(Vec<Tuple>),
-) -> usize {
-    let mut pending: Vec<Option<Vec<Tuple>>> = (0..n_cells).map(|_| None).collect();
-    let mut next_out = 0usize;
-    for (c, out) in rx {
-        pending[c] = Some(out);
-        while next_out < n_cells {
-            let Some(out) = pending[next_out].take() else {
-                break;
-            };
-            next_out += 1;
-            if !out.is_empty() {
-                summary.batches += 1;
-                summary.tuples += out.len() as u64;
-                sink(out);
-            }
-        }
-    }
-    next_out
-}
-
-/// The row-layout streaming worker loop (see [`grid_join_streamed`]).
-#[allow(clippy::too_many_arguments)]
-fn stream_cells_row(
-    spec: &JoinSpec,
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    k: usize,
-    threads: usize,
-    choice: KernelChoice,
-    pred: &JoinPredicate,
-    pool: &PagePool,
-    pages_per_worker: u64,
-    sink: &mut dyn FnMut(Vec<Tuple>),
-) -> Result<StreamSummary, vtjoin_join::JoinError> {
-    let n_cells = intervals.len() * k;
-    let natural = pred.is_natural();
-
-    let r_cells = replicate_cells(r, intervals, k, |t| spec.outer_key_hash(t));
-    let s_cells = replicate_cells(s, intervals, k, |t| spec.inner_key_hash(t));
-
-    let est_costs: Vec<u64> = (0..n_cells)
-        .map(|c| r_cells[c].len() as u64 * s_cells[c].len() as u64)
-        .collect();
-    let mut order: Vec<usize> = (0..n_cells).collect();
-    order.sort_by_key(|&c| std::cmp::Reverse(est_costs[c]));
-
-    let num_workers = threads.max(1).min(n_cells);
-    let next = AtomicUsize::new(0);
-    let mut summary = StreamSummary::default();
-    thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<(usize, Vec<Tuple>)>();
-        let mut handles = Vec::with_capacity(num_workers);
-        for _ in 0..num_workers {
-            let r_cells = &r_cells;
-            let s_cells = &s_cells;
-            let order = &order;
-            let next = &next;
-            let tx = tx.clone();
-            handles.push(scope.spawn(move || {
-                let _reservation = pool.try_reserve(pages_per_worker);
-                let mut scratch = SweepScratch::default();
-                let mut batch = OutputBatch::new();
-                loop {
-                    let q = next.fetch_add(1, Ordering::Relaxed);
-                    if q >= order.len() {
-                        break;
-                    }
-                    let c = order[q];
-                    let p_c = intervals[c / k];
-                    if !r_cells[c].is_empty() && !s_cells[c].is_empty() {
-                        batch.begin(r_cells[c].len().max(s_cells[c].len()).max(16));
-                        match choose_kernel(choice, spec, &r_cells[c], &s_cells[c]) {
-                            KernelKind::Hash => {
-                                if natural {
-                                    hash_join(spec, &r_cells[c], &s_cells[c], p_c, &mut batch);
-                                } else {
-                                    hash_join_pred(
-                                        spec,
-                                        pred,
-                                        &r_cells[c],
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut batch,
-                                    );
-                                }
-                            }
-                            KernelKind::Sweep => {
-                                if natural {
-                                    sweep_join(
-                                        spec,
-                                        &r_cells[c],
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    );
-                                } else {
-                                    sweep_join_pred(
-                                        spec,
-                                        pred,
-                                        &r_cells[c],
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    // `take` hands the batch over as the wire unit (empty
-                    // cells send an empty marker so the reorder window can
-                    // advance past them). A send can only fail if the
-                    // coordinator died; the worker just stops.
-                    if tx.send((c, batch.take())).is_err() {
-                        break;
-                    }
-                }
-            }));
-        }
-        drop(tx);
-        // Reorder window: release cells strictly in time-major order, so
-        // the stream is deterministic regardless of completion order.
-        let next_out = release_in_order(rx, n_cells, &mut summary, sink);
-        let mut worker_panicked = false;
-        for h in handles {
-            if h.join().is_err() {
-                worker_panicked = true;
-            }
-        }
-        if worker_panicked || next_out < n_cells {
-            return Err(vtjoin_join::JoinError::Internal(
-                "partition worker panicked",
-            ));
-        }
-        Ok(())
-    })?;
-    Ok(summary)
-}
-
-/// The columnar streaming worker loop: one encode pass up front, row-id
-/// scatter, and per-cell late materialization *on the worker* — the wire
-/// unit stays a fully materialized per-cell `Vec<Tuple>`, byte-identical
-/// to the row path's batches.
-#[allow(clippy::too_many_arguments)]
-fn stream_cells_columnar(
-    spec: &JoinSpec,
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    k: usize,
-    threads: usize,
-    choice: KernelChoice,
-    pred: &JoinPredicate,
-    pool: &PagePool,
-    pages_per_worker: u64,
-    sink: &mut dyn FnMut(Vec<Tuple>),
-) -> Result<StreamSummary, vtjoin_join::JoinError> {
-    let n_cells = intervals.len() * k;
-    let natural = pred.is_natural();
-
-    let enc = encode_pair(spec, r.iter(), s.iter());
-    let r_cells = scatter_rows(&enc.outer, intervals, k);
-    let s_cells = scatter_rows(&enc.inner, intervals, k);
-
-    let est_costs: Vec<u64> = (0..n_cells)
-        .map(|c| r_cells[c].len() as u64 * s_cells[c].len() as u64)
-        .collect();
-    let mut order: Vec<usize> = (0..n_cells).collect();
-    order.sort_by_key(|&c| std::cmp::Reverse(est_costs[c]));
-
-    let num_workers = threads.max(1).min(n_cells);
-    let next = AtomicUsize::new(0);
-    let mut summary = StreamSummary::default();
-    thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<(usize, Vec<Tuple>)>();
-        let mut handles = Vec::with_capacity(num_workers);
-        for _ in 0..num_workers {
-            let enc = &enc;
-            let r_cells = &r_cells;
-            let s_cells = &s_cells;
-            let order = &order;
-            let next = &next;
-            let tx = tx.clone();
-            handles.push(scope.spawn(move || {
-                let _reservation = pool.try_reserve(pages_per_worker);
-                let mut scratch = ColumnarScratch::default();
-                let mut batch = IdBatch::new();
-                loop {
-                    let q = next.fetch_add(1, Ordering::Relaxed);
-                    if q >= order.len() {
-                        break;
-                    }
-                    let c = order[q];
-                    let p_c = intervals[c / k];
-                    let mut out: Vec<Tuple> = Vec::new();
-                    if !r_cells[c].is_empty() && !s_cells[c].is_empty() {
-                        batch.begin(r_cells[c].len().max(s_cells[c].len()).max(16));
-                        match choose_kernel_ids(
-                            choice,
-                            &enc.outer,
-                            &r_cells[c],
-                            &enc.inner,
-                            &s_cells[c],
-                        ) {
-                            KernelKind::Hash => {
-                                if natural {
-                                    columnar_hash_join(
-                                        &enc.outer,
-                                        &r_cells[c],
-                                        &enc.inner,
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    );
-                                } else {
-                                    columnar_hash_join_pred(
-                                        pred,
-                                        &enc.outer,
-                                        &r_cells[c],
-                                        &enc.inner,
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    );
-                                }
-                            }
-                            KernelKind::Sweep => {
-                                if natural {
-                                    columnar_sweep_join(
-                                        &enc.outer,
-                                        &r_cells[c],
-                                        &enc.inner,
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    );
-                                } else {
-                                    columnar_sweep_join_pred(
-                                        pred,
-                                        &enc.outer,
-                                        &r_cells[c],
-                                        &enc.inner,
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    );
-                                }
-                            }
-                        }
-                        out.reserve_exact(batch.len());
-                        batch.materialize_each(spec, &enc.outer, &enc.inner, |t| out.push(t));
-                    }
-                    // Empty cells still send their (empty) marker so the
-                    // reorder window can advance past them.
-                    if tx.send((c, out)).is_err() {
-                        break;
-                    }
-                }
-            }));
-        }
-        drop(tx);
-        let next_out = release_in_order(rx, n_cells, &mut summary, sink);
-        let mut worker_panicked = false;
-        for h in handles {
-            if h.join().is_err() {
-                worker_panicked = true;
-            }
-        }
-        if worker_panicked || next_out < n_cells {
-            return Err(vtjoin_join::JoinError::Internal(
-                "partition worker panicked",
-            ));
-        }
-        Ok(())
-    })?;
-    Ok(summary)
-}
-
-/// The streaming merge fallback for sequence/mixed predicate templates:
-/// each outer chunk's result is one wire batch, released in chunk order.
-fn merge_join_streamed(
-    r: &Relation,
-    s: &Relation,
-    threads: usize,
-    pred: &JoinPredicate,
-    sink: &mut dyn FnMut(Vec<Tuple>),
-) -> Result<StreamSummary, vtjoin_join::JoinError> {
-    let spec = JoinSpec::natural(r.schema(), s.schema())?;
-    let r_all: Vec<&Tuple> = r.iter().collect();
-    let s_all: Vec<&Tuple> = s.iter().collect();
-    let num_workers = threads.max(1).min(r_all.len()).max(1);
-    let chunk_len = r_all.len().div_ceil(num_workers).max(1);
-    let chunks: Vec<&[&Tuple]> = r_all.chunks(chunk_len).collect();
-    let n_chunks = chunks.len();
-
-    let mut summary = StreamSummary::default();
-    thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<(usize, Vec<Tuple>)>();
-        let mut handles = Vec::with_capacity(n_chunks);
-        for (w, chunk) in chunks.iter().enumerate() {
-            let spec = &spec;
-            let s_all = &s_all;
-            let tx = tx.clone();
-            handles.push(scope.spawn(move || {
-                let mut batch = OutputBatch::new();
-                batch.begin(chunk.len().max(16));
-                merge_join_pred(spec, pred, chunk, s_all, &mut batch);
-                let _ = tx.send((w, batch.take()));
-            }));
-        }
-        drop(tx);
-        let next_out = release_in_order(rx, n_chunks, &mut summary, sink);
-        let mut worker_panicked = false;
-        for h in handles {
-            if h.join().is_err() {
-                worker_panicked = true;
-            }
-        }
-        if worker_panicked || next_out < n_chunks {
-            return Err(vtjoin_join::JoinError::Internal("merge worker panicked"));
-        }
-        Ok(())
-    })?;
-    Ok(summary)
-}
-
 /// Assembles the [`ExecutionReport`] for a finished parallel run.
-fn build_report(
-    rel: Relation,
-    detail: ExecDetail,
-    intervals: &[Interval],
-    threads: usize,
-    pred: &JoinPredicate,
-) -> (Relation, ExecutionReport) {
+fn build_report(detail: ExecDetail, plan: &ExecPlan) -> ExecutionReport {
+    let pred = &plan.predicate;
+    let intervals = &plan.grid.intervals;
     let zero_io = IoSection {
         random_reads: 0,
         seq_reads: 0,
@@ -1627,7 +774,11 @@ fn build_report(
             coordinator_wait_micros: detail.coordinator_wait_micros,
         }
     });
-    let report = ExecutionReport {
+    let counter = |name: &str, value: u64| Counter {
+        name: name.into(),
+        value: value as i64,
+    };
+    ExecutionReport {
         algorithm: "parallel".into(),
         config: ConfigSection {
             buffer_pages: 0,
@@ -1635,7 +786,7 @@ fn build_report(
             seed: 0,
         },
         result: ResultSection {
-            tuples: rel.len() as u64,
+            tuples: detail.workers.iter().map(|w| w.tuples).sum(),
             pages: 0,
         },
         io: zero_io,
@@ -1654,64 +805,35 @@ fn build_report(
             },
         ],
         counters: vec![
-            Counter {
-                name: "num_partitions".into(),
-                value: intervals.len() as i64,
-            },
-            Counter {
-                name: "threads_requested".into(),
-                value: threads as i64,
-            },
-            Counter {
-                name: "workers".into(),
-                value: detail.workers.len() as i64,
-            },
-            Counter {
-                name: "replicated_r_tuples".into(),
-                value: detail.replicated_r as i64,
-            },
-            Counter {
-                name: "replicated_s_tuples".into(),
-                value: detail.replicated_s as i64,
-            },
-            Counter {
-                name: "cpu_probes".into(),
-                value: detail.probes as i64,
-            },
-            Counter {
-                name: "cpu_match_tests".into(),
-                value: detail.match_tests as i64,
-            },
+            counter("num_partitions", intervals.len() as u64),
+            counter("threads_requested", plan.threads as u64),
+            counter("workers", detail.workers.len() as u64),
+            counter("replicated_r_tuples", detail.replicated_r),
+            counter("replicated_s_tuples", detail.replicated_s),
+            counter("cpu_probes", detail.probes),
+            counter("cpu_match_tests", detail.match_tests),
         ],
         buffer_pool: None,
         plan: None,
         deviation: None,
         workers: detail.workers,
         skew: Some(skew),
-        kernel: if pred.partitioning_eligible() {
-            Some(KernelSection {
-                hash_partitions: detail.kernel.hash_partitions,
-                sweep_partitions: detail.kernel.sweep_partitions,
-                sweep_comparisons: detail.kernel.sweep_comparisons,
-                batches_flushed: detail.kernel.batches_flushed,
-            })
-        } else {
-            None
-        },
+        kernel: pred.partitioning_eligible().then_some(KernelSection {
+            hash_partitions: detail.kernel.hash_partitions,
+            sweep_partitions: detail.kernel.sweep_partitions,
+            sweep_comparisons: detail.kernel.sweep_comparisons,
+            batches_flushed: detail.kernel.batches_flushed,
+        }),
         faults: None,
         service: None,
-        predicate: if pred.is_natural() {
-            None
-        } else {
-            Some(PredicateSection {
-                predicate: pred.to_string(),
-                template: pred.template().as_str().to_owned(),
-                filter_checks: detail.predicate.filter_checks,
-                filter_hits: detail.predicate.filter_hits,
-                merge_pairs_scanned: detail.predicate.merge_pairs_scanned,
-                merge_pairs_emitted: detail.predicate.merge_pairs_emitted,
-            })
-        },
+        predicate: (!pred.is_natural()).then(|| PredicateSection {
+            predicate: pred.to_string(),
+            template: pred.template().as_str().to_owned(),
+            filter_checks: detail.predicate.filter_checks,
+            filter_hits: detail.predicate.filter_hits,
+            merge_pairs_scanned: detail.predicate.merge_pairs_scanned,
+            merge_pairs_emitted: detail.predicate.merge_pairs_emitted,
+        }),
         grid,
         columnar: detail.columnar.map(|c| ColumnarSection {
             encode_micros: c.encode_micros,
@@ -1720,23 +842,33 @@ fn build_report(
             materialized_rows: c.materialized_rows,
         }),
         operator: None,
-    };
-    (rel, report)
+    }
 }
 
-/// The pre-optimization executor: static round-robin chunks of partitions,
+/// Replicates a relation's tuples into one bucket per partition under the
+/// shared Leung–Muntz rule (`replica_range`).
+fn replicate<'a>(rel: &'a Relation, intervals: &[Interval]) -> Vec<Vec<&'a Tuple>> {
+    let mut parts: Vec<Vec<&Tuple>> = vec![Vec::new(); intervals.len()];
+    for t in rel.iter() {
+        for i in replica_range(intervals, t.valid()) {
+            parts[i].push(t);
+        }
+    }
+    parts
+}
+
+/// The pre-optimization executor: static contiguous chunks of partitions,
 /// each joined with the O(|rᵢ|·|sᵢ|) pairwise `try_match` loop. Kept as
-/// the ablation baseline `bench_parallel` measures the work-stealing
-/// hash-probed executor against; not part of the engine's recommended
-/// surface.
+/// the ablation baseline `bench_parallel` measures [`run`] against; not
+/// part of the engine's recommended surface.
 pub fn parallel_partition_join_naive(
     r: &Relation,
     s: &Relation,
     intervals: &[Interval],
     threads: usize,
-) -> Result<Relation, vtjoin_join::JoinError> {
+) -> Result<Relation, JoinError> {
     if !is_partitioning(intervals) {
-        return Err(vtjoin_join::JoinError::Precondition(
+        return Err(JoinError::Precondition(
             "intervals must partition all of valid time (sorted, gapless, ending at forever)",
         ));
     }
@@ -1745,45 +877,27 @@ pub fn parallel_partition_join_naive(
     let r_parts = replicate(r, intervals);
     let s_parts = replicate(s, intervals);
 
-    let threads = threads.max(1);
-    let mut outputs: Vec<Vec<Tuple>> = vec![Vec::new(); n];
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (chunk_idx, chunk) in outputs.chunks_mut(n.div_ceil(threads)).enumerate() {
-            let base = chunk_idx * n.div_ceil(threads);
-            let spec = &spec;
-            let r_parts = &r_parts;
-            let s_parts = &s_parts;
-            handles.push(scope.spawn(move || {
-                for (off, out) in chunk.iter_mut().enumerate() {
-                    let i = base + off;
-                    let p_i = intervals[i];
-                    for x in &r_parts[i] {
-                        for y in &s_parts[i] {
-                            if let Some(z) = spec.try_match(x, y) {
-                                if p_i.contains_chronon(z.valid().end()) {
-                                    out.push(z);
-                                }
+    let chunk = n.div_ceil(threads.max(1));
+    let spawn = |w: usize| {
+        let (spec, r_parts, s_parts) = (&spec, &r_parts, &s_parts);
+        move || {
+            let mut out: Vec<Tuple> = Vec::new();
+            for i in w * chunk..((w + 1) * chunk).min(n) {
+                let p_i = intervals[i];
+                for x in &r_parts[i] {
+                    for y in &s_parts[i] {
+                        if let Some(z) = spec.try_match(x, y) {
+                            if p_i.contains_chronon(z.valid().end()) {
+                                out.push(z);
                             }
                         }
                     }
                 }
-            }));
-        }
-        let mut worker_panicked = false;
-        for h in handles {
-            if h.join().is_err() {
-                worker_panicked = true;
             }
+            out
         }
-        if worker_panicked {
-            return Err(vtjoin_join::JoinError::Internal(
-                "partition worker panicked",
-            ));
-        }
-        Ok(())
-    })?;
-
+    };
+    let (outputs, ()) = scoped_workers(threads, n.div_ceil(chunk), spawn, || ())?;
     let tuples: Vec<Tuple> = outputs.into_iter().flatten().collect();
     Ok(Relation::from_parts_unchecked(
         Arc::clone(spec.out_schema()),
@@ -1794,8 +908,8 @@ pub fn parallel_partition_join_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vtjoin_core::algebra::natural_join;
-    use vtjoin_core::{AttrDef, AttrType, Schema, Value};
+    use vtjoin_core::algebra::{natural_join, predicate_join};
+    use vtjoin_core::{AttrDef, AttrType, Value};
     use vtjoin_join::partition::intervals::equal_width;
 
     fn rel(attr: &str, n: i64, long_every: i64) -> Relation {
@@ -1819,14 +933,52 @@ mod tests {
         Relation::from_parts_unchecked(schema, tuples)
     }
 
+    fn parts(n: u64) -> Vec<Interval> {
+        equal_width(Interval::from_raw(0, 400).unwrap(), n)
+    }
+
+    /// A time-only (1×N) plan.
+    fn time_only(intervals: Vec<Interval>, threads: usize) -> ExecPlan {
+        ExecPlan::new(GridPlan::time_only(intervals), threads)
+    }
+
+    fn with_pred(plan: ExecPlan, pred: &str) -> ExecPlan {
+        ExecPlan {
+            predicate: pred.parse().unwrap(),
+            ..plan
+        }
+    }
+
+    fn join(plan: &ExecPlan, r: &Relation, s: &Relation) -> (Relation, ExecutionReport) {
+        let mut out = MaterializeSink::default();
+        let report = run(plan, r, s, &mut out).unwrap();
+        (out.into_relation(), report)
+    }
+
+    /// Streams `plan`, returning the concatenated batches and the summary.
+    fn stream(plan: &ExecPlan, r: &Relation, s: &Relation) -> (Vec<Tuple>, StreamSummary) {
+        let mut streamed: Vec<Tuple> = Vec::new();
+        let mut batches = 0u64;
+        let mut push = |b: Vec<Tuple>| {
+            assert!(!b.is_empty(), "sink only sees non-empty batches");
+            batches += 1;
+            streamed.extend(b);
+        };
+        let mut sink = StreamSink::new(&mut push);
+        run(plan, r, s, &mut sink).unwrap();
+        let summary = sink.summary();
+        assert_eq!(summary.batches, batches);
+        assert_eq!(summary.tuples, streamed.len() as u64);
+        (streamed, summary)
+    }
+
     #[test]
     fn matches_oracle_across_thread_counts() {
         let r = rel("b", 200, 4);
         let s = rel("c", 200, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
         let want = natural_join(&r, &s).unwrap();
         for threads in [1usize, 2, 4, 16] {
-            let got = parallel_partition_join(&r, &s, &parts, threads).unwrap();
+            let (got, _) = join(&time_only(parts(6), threads), &r, &s);
             assert!(got.multiset_eq(&want), "threads = {threads}");
         }
     }
@@ -1835,10 +987,9 @@ mod tests {
     fn naive_baseline_matches_oracle() {
         let r = rel("b", 200, 4);
         let s = rel("c", 200, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
         let want = natural_join(&r, &s).unwrap();
         for threads in [1usize, 3] {
-            let got = parallel_partition_join_naive(&r, &s, &parts, threads).unwrap();
+            let got = parallel_partition_join_naive(&r, &s, &parts(6), threads).unwrap();
             assert!(got.multiset_eq(&want), "threads = {threads}");
         }
     }
@@ -1847,11 +998,14 @@ mod tests {
     fn forced_kernels_agree_with_auto_and_the_oracle() {
         let r = rel("b", 200, 4);
         let s = rel("c", 200, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
         let want = natural_join(&r, &s).unwrap();
         for choice in [KernelChoice::Auto, KernelChoice::Hash, KernelChoice::Sweep] {
             for threads in [1usize, 3] {
-                let got = parallel_partition_join_with(&r, &s, &parts, threads, choice).unwrap();
+                let plan = ExecPlan {
+                    kernel: choice,
+                    ..time_only(parts(6), threads)
+                };
+                let (got, _) = join(&plan, &r, &s);
                 assert!(
                     got.multiset_eq(&want),
                     "choice = {choice:?}, threads = {threads}"
@@ -1864,13 +1018,16 @@ mod tests {
     fn report_kernel_section_accounts_every_partition() {
         let r = rel("b", 200, 4);
         let s = rel("c", 200, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
         for (choice, all_hash, all_sweep) in [
             (KernelChoice::Hash, true, false),
             (KernelChoice::Sweep, false, true),
             (KernelChoice::Auto, false, false),
         ] {
-            let (_, er) = parallel_execution_report_with(&r, &s, &parts, 2, choice).unwrap();
+            let plan = ExecPlan {
+                kernel: choice,
+                ..time_only(parts(6), 2)
+            };
+            let (_, er) = join(&plan, &r, &s);
             let k = er.kernel.expect("parallel report has a kernel section");
             // Empty partitions are skipped without invoking a kernel, so
             // the split covers at most every partition.
@@ -1892,9 +1049,8 @@ mod tests {
     fn output_is_deterministic() {
         let r = rel("b", 150, 5);
         let s = rel("c", 150, 5);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 4);
-        let a = parallel_partition_join(&r, &s, &parts, 4).unwrap();
-        let b = parallel_partition_join(&r, &s, &parts, 2).unwrap();
+        let (a, _) = join(&time_only(parts(4), 4), &r, &s);
+        let (b, _) = join(&time_only(parts(4), 2), &r, &s);
         assert_eq!(a.tuples(), b.tuples(), "order independent of thread count");
     }
 
@@ -1903,42 +1059,24 @@ mod tests {
         let r = rel("b", 200, 4);
         let s = rel("c", 200, 3);
         for key_buckets in [1u64, 4] {
-            let plan = GridPlan {
+            let grid = GridPlan {
                 key_buckets,
-                intervals: equal_width(Interval::from_raw(0, 400).unwrap(), 6),
+                intervals: parts(6),
             };
-            let want = grid_partition_join(&r, &s, &plan, 1).unwrap();
-            for layout in [Layout::Row, Layout::Columnar] {
-                for threads in [1usize, 2, 4] {
-                    let pool = PagePool::new(64);
-                    let mut streamed: Vec<Tuple> = Vec::new();
-                    let mut batches = 0u64;
-                    let summary = grid_join_streamed(
-                        &r,
-                        &s,
-                        &plan,
-                        threads,
-                        KernelChoice::Auto,
-                        layout,
-                        &JoinPredicate::intersects(),
-                        &pool,
-                        4,
-                        &mut |b| {
-                            assert!(!b.is_empty(), "sink only sees non-empty batches");
-                            batches += 1;
-                            streamed.extend(b);
-                        },
-                    )
-                    .unwrap();
-                    assert_eq!(summary.batches, batches);
-                    assert_eq!(summary.tuples, streamed.len() as u64);
-                    assert_eq!(
-                        streamed,
-                        want.tuples(),
-                        "key_buckets = {key_buckets}, layout = {layout:?}, threads = {threads}"
-                    );
-                    assert_eq!(pool.in_flight(), 0, "shard reservations released");
-                }
+            let (want, _) = join(&ExecPlan::new(grid.clone(), 1), &r, &s);
+            for threads in [1usize, 2, 4] {
+                let pool = PagePool::new(64);
+                let plan = ExecPlan {
+                    shard_pool: Some((pool.clone(), 4)),
+                    ..ExecPlan::new(grid.clone(), threads)
+                };
+                let (streamed, _) = stream(&plan, &r, &s);
+                assert_eq!(
+                    streamed,
+                    want.tuples(),
+                    "key_buckets = {key_buckets}, threads = {threads}"
+                );
+                assert_eq!(pool.in_flight(), 0, "shard reservations released");
             }
         }
     }
@@ -1947,26 +1085,11 @@ mod tests {
     fn streamed_merge_fallback_matches_materialized_order() {
         let r = rel("b", 120, 4);
         let s = rel("c", 120, 3);
-        let pred: JoinPredicate = "before".parse().unwrap();
-        assert!(!pred.partitioning_eligible());
-        let plan = GridPlan::time_only(vec![Interval::ALL]);
-        let want = parallel_partition_join_pred(&r, &s, &[Interval::ALL], 1, &pred).unwrap();
+        let plan = |threads| with_pred(time_only(vec![Interval::ALL], threads), "before");
+        assert!(!plan(1).predicate.partitioning_eligible());
+        let (want, _) = join(&plan(1), &r, &s);
         for threads in [1usize, 3] {
-            let pool = PagePool::new(64);
-            let mut streamed: Vec<Tuple> = Vec::new();
-            grid_join_streamed(
-                &r,
-                &s,
-                &plan,
-                threads,
-                KernelChoice::Auto,
-                Layout::default(),
-                &pred,
-                &pool,
-                4,
-                &mut |b| streamed.extend(b),
-            )
-            .unwrap();
+            let (streamed, _) = stream(&plan(threads), &r, &s);
             assert_eq!(streamed, want.tuples(), "threads = {threads}");
         }
     }
@@ -1975,17 +1098,16 @@ mod tests {
     fn single_partition_degenerates_to_plain_join() {
         let r = rel("b", 80, 4);
         let s = rel("c", 80, 4);
-        let got = parallel_partition_join(&r, &s, &[Interval::ALL], 3).unwrap();
-        let want = natural_join(&r, &s).unwrap();
-        assert!(got.multiset_eq(&want));
+        let (got, _) = join(&time_only(vec![Interval::ALL], 3), &r, &s);
+        assert!(got.multiset_eq(&natural_join(&r, &s).unwrap()));
     }
 
     #[test]
     fn worker_sections_account_for_all_tuples() {
         let r = rel("b", 200, 4);
         let s = rel("c", 200, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
-        let (got, workers) = parallel_partition_join_reported(&r, &s, &parts, 3).unwrap();
+        let (got, er) = join(&time_only(parts(6), 3), &r, &s);
+        let workers = er.workers;
         assert_eq!(workers.len(), 3);
         assert_eq!(workers.iter().map(|w| w.partitions).sum::<u64>(), 6);
         assert_eq!(
@@ -2006,27 +1128,24 @@ mod tests {
         let r = rel("b", 100, 4);
         let s = rel("c", 100, 3);
         // 2 partitions, 8 threads requested → exactly 2 workers.
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 2);
-        let (got, workers) = parallel_partition_join_reported(&r, &s, &parts, 8).unwrap();
-        assert_eq!(workers.len(), 2);
-        assert_eq!(workers.iter().map(|w| w.partitions).sum::<u64>(), 2);
-        let want = natural_join(&r, &s).unwrap();
-        assert!(got.multiset_eq(&want));
+        let (got, er) = join(&time_only(parts(2), 8), &r, &s);
+        assert_eq!(er.workers.len(), 2);
+        assert_eq!(er.workers.iter().map(|w| w.partitions).sum::<u64>(), 2);
+        assert!(got.multiset_eq(&natural_join(&r, &s).unwrap()));
     }
 
     #[test]
     fn execution_report_carries_workers_and_skew() {
         let r = rel("b", 200, 4);
         let s = rel("c", 200, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
-        let (got, er) = parallel_execution_report(&r, &s, &parts, 3).unwrap();
+        let (got, er) = join(&time_only(parts(6), 3), &r, &s);
         assert_eq!(er.algorithm, "parallel");
         assert_eq!(er.result.tuples, got.len() as u64);
         assert_eq!(er.counter("num_partitions"), Some(6));
         assert_eq!(er.counter("workers"), Some(er.workers.len() as i64));
         // This workload is duplicate-heavy (6 keys), so the auto gate
         // routes its partitions to the sweep kernel: the work shows up as
-        // sweep comparisons, not BlockTable probes.
+        // sweep comparisons, not hash probes.
         let k = er.kernel.expect("kernel section");
         assert!(er.counter("cpu_probes").unwrap() > 0 || k.sweep_comparisons > 0);
         let sk = er.skew.expect("parallel report has a skew section");
@@ -2047,7 +1166,7 @@ mod tests {
         assert!(g.replication_factor_x100 >= 100);
         assert_eq!(g.max_cell_share_percent, sk.max_partition_share_percent);
         // Round-trips through the documented JSON schema.
-        let back = vtjoin_obs::ExecutionReport::from_json_str(&er.to_json_string()).unwrap();
+        let back = ExecutionReport::from_json_str(&er.to_json_string()).unwrap();
         assert_eq!(back, er);
     }
 
@@ -2056,43 +1175,22 @@ mod tests {
         let r = rel("b", 200, 4);
         let s = rel("c", 200, 3);
         let want = natural_join(&r, &s).unwrap();
-        let six = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
         // 1×N, K×1 and K×N shapes all emit the oracle multiset, and each
         // shape's output is byte-identical at every thread count.
-        for plan in [
-            GridPlan::time_only(six.clone()),
+        for grid in [
+            GridPlan::time_only(parts(6)),
             GridPlan::with_buckets(4, vec![Interval::ALL]),
-            GridPlan::with_buckets(4, six.clone()),
-            GridPlan::with_buckets(8, six),
+            GridPlan::with_buckets(4, parts(6)),
+            GridPlan::with_buckets(8, parts(6)),
         ] {
-            let serial = grid_partition_join(&r, &s, &plan, 1).unwrap();
-            assert!(
-                serial.multiset_eq(&want),
-                "K={} N={}",
-                plan.key_buckets,
-                plan.intervals.len()
-            );
+            let ctx = format!("K={} N={}", grid.key_buckets, grid.intervals.len());
+            let (serial, _) = join(&ExecPlan::new(grid.clone(), 1), &r, &s);
+            assert!(serial.multiset_eq(&want), "{ctx}");
             for threads in [2usize, 4, 16] {
-                let got = grid_partition_join(&r, &s, &plan, threads).unwrap();
-                assert_eq!(
-                    got.tuples(),
-                    serial.tuples(),
-                    "K={} N={} threads={threads}",
-                    plan.key_buckets,
-                    plan.intervals.len()
-                );
+                let (got, _) = join(&ExecPlan::new(grid.clone(), threads), &r, &s);
+                assert_eq!(got.tuples(), serial.tuples(), "{ctx} threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn collapsed_grid_is_byte_identical_to_time_only() {
-        let r = rel("b", 150, 5);
-        let s = rel("c", 150, 5);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 4);
-        let plain = parallel_partition_join(&r, &s, &parts, 3).unwrap();
-        let grid = grid_partition_join(&r, &s, &GridPlan::time_only(parts), 3).unwrap();
-        assert_eq!(plain.tuples(), grid.tuples());
     }
 
     #[test]
@@ -2123,11 +1221,10 @@ mod tests {
         // 30×30 with 3 keys → exactly 300 pairs; any double emission from
         // a non-canonical cell would inflate the count.
         assert_eq!(want.len(), 300);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 5);
         for k in [1, 4, 8] {
-            let plan = GridPlan::with_buckets(k, parts.clone());
             for threads in [1usize, 3] {
-                let got = grid_partition_join(&r, &s, &plan, threads).unwrap();
+                let plan = ExecPlan::new(GridPlan::with_buckets(k, parts(5)), threads);
+                let (got, _) = join(&plan, &r, &s);
                 assert_eq!(got.len(), 300, "K={k} threads={threads}");
                 assert!(got.multiset_eq(&want), "K={k} threads={threads}");
             }
@@ -2136,16 +1233,13 @@ mod tests {
 
     #[test]
     fn grid_predicate_path_matches_the_oracle() {
-        use vtjoin_core::algebra::predicate_join;
         let r = rel("b", 180, 4);
         let s = rel("c", 180, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
-        let plan = GridPlan::with_buckets(4, parts);
         for p in ["overlaps", "during", "before"] {
-            let pred: JoinPredicate = p.parse().unwrap();
-            let want = predicate_join(&r, &s, &pred).unwrap();
+            let want = predicate_join(&r, &s, &p.parse().unwrap()).unwrap();
             for threads in [1usize, 3] {
-                let got = grid_partition_join_pred(&r, &s, &plan, threads, &pred).unwrap();
+                let grid = GridPlan::with_buckets(4, parts(6));
+                let (got, _) = join(&with_pred(ExecPlan::new(grid, threads), p), &r, &s);
                 assert!(got.multiset_eq(&want), "{p}, threads = {threads}");
             }
         }
@@ -2155,9 +1249,8 @@ mod tests {
     fn grid_report_reflects_the_shape() {
         let r = rel("b", 200, 4);
         let s = rel("c", 200, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
-        let plan = GridPlan::with_buckets(4, parts);
-        let (got, er) = grid_execution_report_with(&r, &s, &plan, 2, KernelChoice::Auto).unwrap();
+        let grid = GridPlan::with_buckets(4, parts(6));
+        let (got, er) = join(&ExecPlan::new(grid, 2), &r, &s);
         assert_eq!(er.result.tuples, got.len() as u64);
         let g = er.grid.expect("grid section");
         assert_eq!(g.key_buckets, 4);
@@ -2167,13 +1260,15 @@ mod tests {
         assert!(g.max_cell_share_percent <= 100);
         // Tuples replicate only along the time axis: the replication
         // factor of the 4×6 grid equals the 1×6 grid's.
-        let (_, er1) = parallel_execution_report(&r, &s, &plan.intervals, 2).unwrap();
-        let g1 = er1.grid.unwrap();
-        assert_eq!(g.replication_factor_x100, g1.replication_factor_x100);
+        let (_, er1) = join(&time_only(parts(6), 2), &r, &s);
+        assert_eq!(
+            g.replication_factor_x100,
+            er1.grid.unwrap().replication_factor_x100
+        );
         // The skew section counts cells for grid runs.
         assert_eq!(er.skew.unwrap().partitions, 24);
         // Round-trips through the documented v7 JSON schema.
-        let back = vtjoin_obs::ExecutionReport::from_json_str(&er.to_json_string()).unwrap();
+        let back = ExecutionReport::from_json_str(&er.to_json_string()).unwrap();
         assert_eq!(back, er);
     }
 
@@ -2181,23 +1276,13 @@ mod tests {
     fn sharded_run_reserves_and_releases_worker_pages() {
         let r = rel("b", 200, 4);
         let s = rel("c", 200, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
-        let plan = GridPlan::with_buckets(2, parts);
-        let pool = PagePool::new(64);
-        let pred = JoinPredicate::intersects();
-        let (got, _) = grid_execution_report_sharded(
-            &r,
-            &s,
-            &plan,
-            3,
-            KernelChoice::Auto,
-            Layout::default(),
-            &pred,
-            &pool,
-            8,
-        )
-        .unwrap();
         let want = natural_join(&r, &s).unwrap();
+        let sharded = |pool: &PagePool| ExecPlan {
+            shard_pool: Some((pool.clone(), 8)),
+            ..ExecPlan::new(GridPlan::with_buckets(2, parts(6)), 3)
+        };
+        let pool = PagePool::new(64);
+        let (got, _) = join(&sharded(&pool), &r, &s);
         assert!(got.multiset_eq(&want));
         // Every worker's reservation was granted and released.
         assert_eq!(pool.in_flight(), 0);
@@ -2205,28 +1290,15 @@ mod tests {
         assert_eq!(pool.stats().released, 3);
         // A pool too small for any share still completes the join.
         let tiny = PagePool::new(4);
-        let (got, _) = grid_execution_report_sharded(
-            &r,
-            &s,
-            &plan,
-            3,
-            KernelChoice::Auto,
-            Layout::default(),
-            &pred,
-            &tiny,
-            8,
-        )
-        .unwrap();
+        let (got, _) = join(&sharded(&tiny), &r, &s);
         assert!(got.multiset_eq(&want));
         assert_eq!(tiny.in_flight(), 0);
     }
 
     #[test]
     fn predicate_paths_match_the_oracle() {
-        use vtjoin_core::algebra::predicate_join;
         let r = rel("b", 180, 4);
         let s = rel("c", 180, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
         // One predicate per template: intersection (filtered kernels),
         // sequence and mixed (merge fallback), plus a gap bound.
         for p in [
@@ -2240,10 +1312,9 @@ mod tests {
             "meets-or-overlaps",
             "before-within-3",
         ] {
-            let pred: JoinPredicate = p.parse().unwrap();
-            let want = predicate_join(&r, &s, &pred).unwrap();
+            let want = predicate_join(&r, &s, &p.parse().unwrap()).unwrap();
             for threads in [1usize, 3] {
-                let got = parallel_partition_join_pred(&r, &s, &parts, threads, &pred).unwrap();
+                let (got, _) = join(&with_pred(time_only(parts(6), threads), p), &r, &s);
                 assert!(
                     got.multiset_eq(&want),
                     "{p}, threads = {threads}: got {} want {}",
@@ -2258,10 +1329,8 @@ mod tests {
     fn predicate_fallback_is_deterministic_across_thread_counts() {
         let r = rel("b", 150, 5);
         let s = rel("c", 150, 5);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 4);
-        let pred: JoinPredicate = "before".parse().unwrap();
-        let a = parallel_partition_join_pred(&r, &s, &parts, 4, &pred).unwrap();
-        let b = parallel_partition_join_pred(&r, &s, &parts, 1, &pred).unwrap();
+        let (a, _) = join(&with_pred(time_only(parts(4), 4), "before"), &r, &s);
+        let (b, _) = join(&with_pred(time_only(parts(4), 1), "before"), &r, &s);
         assert_eq!(a.tuples(), b.tuples(), "order independent of thread count");
     }
 
@@ -2269,15 +1338,13 @@ mod tests {
     fn predicate_report_sections_reflect_the_template() {
         let r = rel("b", 180, 4);
         let s = rel("c", 180, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
 
         // Natural runs carry no predicate section (pre-v6 shape).
-        let (_, er) = parallel_execution_report(&r, &s, &parts, 2).unwrap();
+        let (_, er) = join(&time_only(parts(6), 2), &r, &s);
         assert!(er.predicate.is_none());
 
         // Intersection template: filtered kernels, no merge fallback.
-        let pred: JoinPredicate = "overlaps".parse().unwrap();
-        let (got, er) = parallel_execution_report_pred(&r, &s, &parts, 2, &pred).unwrap();
+        let (got, er) = join(&with_pred(time_only(parts(6), 2), "overlaps"), &r, &s);
         let pd = er.predicate.as_ref().expect("predicate section");
         assert_eq!(pd.predicate, "overlaps");
         assert_eq!(pd.template, "intersection");
@@ -2288,8 +1355,7 @@ mod tests {
         assert_eq!(er.result.tuples, got.len() as u64);
 
         // Sequence template: merge fallback, no kernel or grid section.
-        let pred: JoinPredicate = "before".parse().unwrap();
-        let (got, er) = parallel_execution_report_pred(&r, &s, &parts, 2, &pred).unwrap();
+        let (got, er) = join(&with_pred(time_only(parts(6), 2), "before"), &r, &s);
         let pd = er.predicate.as_ref().expect("predicate section");
         assert_eq!(pd.template, "sequence");
         assert_eq!(pd.filter_checks, 0);
@@ -2302,7 +1368,7 @@ mod tests {
             got.len() as u64
         );
         // Round-trips through the documented v6 JSON schema.
-        let back = vtjoin_obs::ExecutionReport::from_json_str(&er.to_json_string()).unwrap();
+        let back = ExecutionReport::from_json_str(&er.to_json_string()).unwrap();
         assert_eq!(back, er);
     }
 
@@ -2310,79 +1376,53 @@ mod tests {
     fn empty_inputs() {
         let r = rel("b", 0, 0);
         let s = rel("c", 50, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 4);
-        assert!(parallel_partition_join(&r, &s, &parts, 2)
-            .unwrap()
+        assert!(join(&time_only(parts(4), 2), &r, &s).0.is_empty());
+        assert!(join(&with_pred(time_only(parts(4), 2), "before"), &r, &s)
+            .0
             .is_empty());
     }
 
     #[test]
-    fn columnar_layout_is_byte_identical_to_row_layout() {
+    fn rejects_non_partitioning_intervals() {
+        let r = rel("b", 10, 0);
+        let bad = time_only(vec![Interval::from_raw(0, 10).unwrap()], 2);
+        let mut out = MaterializeSink::default();
+        assert!(matches!(
+            run(&bad, &r, &r, &mut out),
+            Err(JoinError::Precondition(_))
+        ));
+    }
+
+    #[test]
+    fn kernel_choices_and_predicates_match_the_oracle_on_every_shape() {
         let r = rel("b", 200, 4);
         let s = rel("c", 200, 3);
-        let six = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
-        for plan in [
-            GridPlan::time_only(six.clone()),
-            GridPlan::with_buckets(4, six.clone()),
+        for grid in [
+            GridPlan::time_only(parts(6)),
+            GridPlan::with_buckets(4, parts(6)),
             GridPlan::time_only(vec![Interval::ALL]),
         ] {
-            for pred in ["intersects", "overlaps", "during", "meets-or-overlaps"] {
-                let pred: JoinPredicate = pred.parse().unwrap();
-                for choice in [KernelChoice::Auto, KernelChoice::Hash, KernelChoice::Sweep] {
-                    for threads in [1usize, 3] {
-                        let (row, row_er) = grid_execution_report_layout(
-                            &r,
-                            &s,
-                            &plan,
-                            threads,
-                            choice,
-                            &pred,
-                            Layout::Row,
-                        )
-                        .unwrap();
-                        let (col, col_er) = grid_execution_report_layout(
-                            &r,
-                            &s,
-                            &plan,
-                            threads,
-                            choice,
-                            &pred,
-                            Layout::Columnar,
-                        )
-                        .unwrap();
-                        let ctx = format!(
-                            "K={} N={} pred={pred} choice={choice:?} threads={threads}",
-                            plan.key_buckets,
-                            plan.intervals.len()
-                        );
-                        assert_eq!(row.tuples(), col.tuples(), "{ctx}");
-                        // Not just the result: the work profile mirrors too.
-                        assert_eq!(row_er.kernel, col_er.kernel, "{ctx}");
-                        assert_eq!(
-                            row_er.counter("cpu_probes"),
-                            col_er.counter("cpu_probes"),
-                            "{ctx}"
-                        );
-                        assert_eq!(
-                            row_er.counter("cpu_match_tests"),
-                            col_er.counter("cpu_match_tests"),
-                            "{ctx}"
-                        );
-                        assert_eq!(row_er.predicate, col_er.predicate, "{ctx}");
-                        assert_eq!(
-                            row_er.grid.map(|g| (
-                                g.key_buckets,
-                                g.cells,
-                                g.replication_factor_x100
-                            )),
-                            col_er.grid.map(|g| (
-                                g.key_buckets,
-                                g.cells,
-                                g.replication_factor_x100
-                            )),
-                            "{ctx}"
-                        );
-                    }
+            for p in ["intersects", "overlaps", "during", "meets-or-overlaps"] {
+                let want = predicate_join(&r, &s, &p.parse().unwrap()).unwrap();
+                for kernel in [KernelChoice::Auto, KernelChoice::Hash, KernelChoice::Sweep] {
+                    let plan = |threads| ExecPlan {
+                        kernel,
+                        ..with_pred(ExecPlan::new(grid.clone(), threads), p)
+                    };
+                    let (serial, er) = join(&plan(1), &r, &s);
+                    let ctx = format!(
+                        "K={} N={} pred={p} kernel={kernel:?}",
+                        grid.key_buckets,
+                        grid.intervals.len()
+                    );
+                    assert!(serial.multiset_eq(&want), "{ctx}");
+                    // Every partitioned run carries the columnar section;
+                    // the merge fallback (`meets-or-overlaps`) none.
+                    let rows = er.columnar.map(|c| c.materialized_rows);
+                    let partitioned = plan(1).predicate.partitioning_eligible();
+                    assert_eq!(rows, partitioned.then_some(serial.len() as u64), "{ctx}");
+                    let (par, _) = join(&plan(3), &r, &s);
+                    assert_eq!(par.tuples(), serial.tuples(), "{ctx}");
                 }
             }
         }
@@ -2392,36 +1432,66 @@ mod tests {
     fn columnar_report_section_accounts_the_run() {
         let r = rel("b", 200, 4);
         let s = rel("c", 200, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
-        let plan = GridPlan::with_buckets(2, parts);
-        let pred = JoinPredicate::intersects();
-
-        // Row runs carry no columnar section.
-        let (_, er) =
-            grid_execution_report_layout(&r, &s, &plan, 2, KernelChoice::Auto, &pred, Layout::Row)
-                .unwrap();
-        assert!(er.columnar.is_none());
-
-        // Columnar runs account every materialized tuple and the shared
-        // dictionary, and round-trip through the v9 JSON schema.
-        let (got, er) = grid_execution_report_layout(
-            &r,
-            &s,
-            &plan,
-            2,
-            KernelChoice::Sweep,
-            &pred,
-            Layout::Columnar,
-        )
-        .unwrap();
+        // Every partitioned run accounts each materialized tuple and the
+        // shared dictionary, and round-trips through the v9 JSON schema.
+        let plan = ExecPlan {
+            kernel: KernelChoice::Sweep,
+            ..ExecPlan::new(GridPlan::with_buckets(2, parts(6)), 2)
+        };
+        let (got, er) = join(&plan, &r, &s);
         let c = er.columnar.expect("columnar section");
         assert_eq!(c.materialized_rows, got.len() as u64);
         // 6 join keys on each side → 6 interned entries.
         assert_eq!(c.dict_size, 6);
         // Forced sweep on a non-trivial workload sorts at least one cell.
         assert!(c.radix_passes > 0);
-        let back = vtjoin_obs::ExecutionReport::from_json_str(&er.to_json_string()).unwrap();
+        let back = ExecutionReport::from_json_str(&er.to_json_string()).unwrap();
         assert_eq!(back, er);
-        assert_eq!(back.columnar, er.columnar);
+        // The merge fallback invokes no cell kernel and carries no section.
+        let (_, er) = join(&with_pred(time_only(parts(6), 2), "before"), &r, &s);
+        assert!(er.columnar.is_none());
+    }
+
+    #[test]
+    fn scoped_workers_maps_a_worker_panic_to_internal() {
+        let spawn = |w: usize| move || assert!(w != 1, "worker {w} fails");
+        let got = scoped_workers(3, 8, spawn, || ());
+        assert!(matches!(got, Err(JoinError::Internal(_))), "{got:?}");
+        // Only min(threads, items) workers start.
+        let (ids, ()) = scoped_workers(8, 3, |w: usize| move || w, || ()).unwrap();
+        assert_eq!(ids, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn a_panicking_job_leaks_no_shard_reservation_under_either_sink() {
+        for streams in [false, true] {
+            let pool = PagePool::new(64);
+            let plan = ExecPlan {
+                shard_pool: Some((pool.clone(), 4)),
+                ..time_only(parts(4), 2)
+            };
+            let order: Vec<usize> = (0..4).collect();
+            let job = |_: &mut (), c: usize| -> Vec<Tuple> {
+                assert!(c != 2, "cell {c} fails");
+                Vec::new()
+            };
+            let mut materialize = MaterializeSink::default();
+            let mut ignore = |_: Vec<Tuple>| {};
+            let mut streamed = StreamSink::new(&mut ignore);
+            let sink: &mut dyn Sink = if streams {
+                &mut streamed
+            } else {
+                &mut materialize
+            };
+            let got = deliver(&plan, &order, sink, || (), job);
+            assert!(
+                matches!(got, Err(JoinError::Internal(_))),
+                "streams = {streams}"
+            );
+            let st = pool.stats();
+            assert!(st.granted > 0, "streams = {streams}");
+            assert_eq!(st.granted, st.released, "streams = {streams}");
+            assert_eq!(pool.in_flight(), 0, "streams = {streams}");
+        }
     }
 }

@@ -40,9 +40,9 @@
 //!   requests under a dedicated page budget, so a plan-cache hit on a hot
 //!   pair performs *zero* heap I/O end to end;
 //! * **streaming execution** ([`JoinService::submit_streamed`]): results
-//!   are delivered incrementally as [`vtjoin_join::kernel::OutputBatch`]
-//!   wire units in deterministic order — the concatenation of the batches
-//!   is byte-identical to the materialized result.
+//!   are delivered incrementally, one batch per grid cell (or merge
+//!   chunk), in deterministic order — the concatenation of the batches is
+//!   byte-identical to the materialized result.
 //!
 //! Every outcome is accounted in a [`ServiceSection`] (obs schema v8,
 //! including per-class counters, shed counters, stream counters, and a
@@ -51,13 +51,12 @@
 
 use crate::database::{Database, DbError, TableStats};
 use crate::operator::{operator_join, OperatorCounters};
-use crate::parallel::{grid_execution_report_sharded, grid_join_streamed, StreamSummary};
+use crate::parallel::{run, ExecPlan, MaterializeSink, StreamSink, StreamSummary};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 use vtjoin_core::{Interval, JoinPredicate, Operator, Relation, Tuple};
-use vtjoin_join::columnar::Layout;
 use vtjoin_join::common::JoinSpec;
 use vtjoin_join::kernel::KernelChoice;
 use vtjoin_join::partition::planner::{determine_part_intervals, plan_error_size};
@@ -576,10 +575,6 @@ pub struct ServiceConfig {
     pub threads_per_query: usize,
     /// Kernel policy for the parallel executor.
     pub kernel: KernelChoice,
-    /// Physical batch layout for the parallel executor: columnar
-    /// struct-of-arrays (the default) or the row-at-a-time baseline.
-    /// Both produce byte-identical results.
-    pub layout: Layout,
     /// Grid policy for the executor's key axis: cost-chosen (`Auto`, the
     /// default), forced time-only, forced key × time, or a fixed bucket
     /// count. Overridable per request via [`JoinService::submit_grid`].
@@ -603,7 +598,6 @@ impl ServiceConfig {
             max_queue: 16,
             threads_per_query: 4,
             kernel: KernelChoice::Auto,
-            layout: Layout::default(),
             grid: GridChoice::Auto,
             plan_cache: true,
             residency_pages: pool_pages / 2,
@@ -792,12 +786,13 @@ impl JoinService {
     }
 
     /// Streaming submission: the join result is delivered to `sink`
-    /// incrementally, one non-empty [`vtjoin_join::kernel::OutputBatch`]
-    /// wire unit at a time, in deterministic order — concatenated, the
-    /// batches are byte-identical to the materialized result of the same
-    /// request at any thread count. Admission, shedding, planning, and
-    /// accounting are identical to [`JoinService::submit_opts`]; a request
-    /// that fails mid-stream has delivered a (deterministic) prefix.
+    /// incrementally, one non-empty per-cell batch at a time (see
+    /// [`crate::parallel::StreamSink`]), in deterministic order —
+    /// concatenated, the batches are byte-identical to the materialized
+    /// result of the same request at any thread count. Admission,
+    /// shedding, planning, and accounting are identical to
+    /// [`JoinService::submit_opts`]; a request that fails mid-stream has
+    /// delivered a (deterministic) prefix.
     pub fn submit_streamed(
         &self,
         outer: &str,
@@ -1060,20 +1055,20 @@ impl JoinService {
                     &[Interval::ALL],
                     1,
                     self.cfg.threads_per_query,
-                    self.cfg.layout,
                 )
                 .map_err(ServiceError::Join)?;
                 return Ok((result, outcome, 0, 0, Some(counters)));
             }
-            let result = crate::parallel::parallel_partition_join_pred(
-                &r_rel,
-                &s_rel,
-                &[Interval::ALL],
-                self.cfg.threads_per_query,
-                pred,
-            )
-            .map_err(ServiceError::Join)?;
-            return Ok((result, outcome, 0, 0, None));
+            let plan = ExecPlan {
+                predicate: *pred,
+                ..ExecPlan::new(
+                    GridPlan::time_only(vec![Interval::ALL]),
+                    self.cfg.threads_per_query,
+                )
+            };
+            let mut out = MaterializeSink::default();
+            run(&plan, &r_rel, &s_rel, &mut out).map_err(ServiceError::Join)?;
+            return Ok((out.into_relation(), outcome, 0, 0, None));
         };
         let partitions = plan.intervals.len() as u64;
         let key_buckets = plan.key_buckets;
@@ -1090,37 +1085,35 @@ impl JoinService {
                 &plan.intervals,
                 key_buckets as usize,
                 self.cfg.threads_per_query,
-                self.cfg.layout,
             )
             .map_err(ServiceError::Join)?;
             return Ok((result, outcome, partitions, key_buckets, Some(counters)));
         }
-        // Shard execution: the request's admitted page budget becomes a
-        // private sub-pool, and each grid worker pins its per-shard share
-        // for its whole lifetime — admission-visible memory accounting
-        // with no locking inside the join loop.
+        let plan = self.exec_plan(plan, pred, reserved_pages);
+        let mut out = MaterializeSink::default();
+        run(&plan, &r_rel, &s_rel, &mut out).map_err(ServiceError::Join)?;
+        Ok((out.into_relation(), outcome, partitions, key_buckets, None))
+    }
+
+    /// The executor plan for one admitted request. Shard execution: the
+    /// request's admitted page budget becomes a private sub-pool, and each
+    /// grid worker pins its per-shard share for its whole lifetime —
+    /// admission-visible memory accounting with no locking inside the
+    /// join loop.
+    fn exec_plan(&self, grid: GridPlan, pred: &JoinPredicate, reserved_pages: u64) -> ExecPlan {
         let threads = self.cfg.threads_per_query.max(1);
-        let shard_pool = PagePool::new(reserved_pages);
         let share = reserved_pages.div_ceil(threads as u64).max(1);
-        let result = grid_execution_report_sharded(
-            &r_rel,
-            &s_rel,
-            &plan,
-            threads,
-            self.cfg.kernel,
-            self.cfg.layout,
-            pred,
-            &shard_pool,
-            share,
-        )
-        .map(|(rel, _)| rel)
-        .map_err(ServiceError::Join)?;
-        Ok((result, outcome, partitions, key_buckets, None))
+        ExecPlan {
+            kernel: self.cfg.kernel,
+            predicate: *pred,
+            shard_pool: Some((PagePool::new(reserved_pages), share)),
+            ..ExecPlan::new(grid, threads)
+        }
     }
 
     /// Phases 3 & 4, streamed: identical planning, execution through
-    /// [`grid_join_streamed`] (which routes sequence/mixed templates to
-    /// the streaming merge fallback itself).
+    /// [`run`] into a [`StreamSink`] (sequence/mixed templates take the
+    /// merge fallback, streamed chunk by chunk).
     #[allow(clippy::too_many_arguments)]
     fn plan_and_stream(
         &self,
@@ -1154,23 +1147,10 @@ impl JoinService {
             }
             None => (GridPlan::time_only(vec![Interval::ALL]), 0, 0),
         };
-        let threads = self.cfg.threads_per_query.max(1);
-        let shard_pool = PagePool::new(reserved_pages);
-        let share = reserved_pages.div_ceil(threads as u64).max(1);
-        let summary = grid_join_streamed(
-            &r_rel,
-            &s_rel,
-            &plan,
-            threads,
-            self.cfg.kernel,
-            self.cfg.layout,
-            pred,
-            &shard_pool,
-            share,
-            sink,
-        )
-        .map_err(ServiceError::Join)?;
-        Ok((summary, outcome, partitions, key_buckets))
+        let plan = self.exec_plan(plan, pred, reserved_pages);
+        let mut stream = StreamSink::new(sink);
+        run(&plan, &r_rel, &s_rel, &mut stream).map_err(ServiceError::Join)?;
+        Ok((stream.summary(), outcome, partitions, key_buckets))
     }
 
     /// Shared planning front half: residency-cached relation reads plus

@@ -1,14 +1,12 @@
 //! Columnar (struct-of-arrays) join-side layout with late materialization.
 //!
-//! The row-oriented kernels walk `Tuple { Vec<Value>, Interval }` values:
+//! A row-oriented kernel walks `Tuple { Vec<Value>, Interval }` values:
 //! every probe chases a pointer per tuple, every key test may fall through
 //! to an O(width) `Vec<Value>` compare, and every emitted pair clones whole
 //! value vectors *inside* the kernel loop. Piatov et al.
 //! (*Cache-Efficient Sweeping-Based Interval Joins*, PAPERS.md) attribute
-//! the sweep's advantage precisely to sequential, cache-resident layouts —
-//! a property the row representation throws away.
-//!
-//! This module rebuilds the hot path around three ideas:
+//! the sweep's advantage precisely to sequential, cache-resident layouts.
+//! Every in-memory join path therefore runs on this layout:
 //!
 //! 1. **Struct-of-arrays encoding** ([`ColumnarSide`]): one pass per join
 //!    side at partition/scatter time extracts flat `start[]`/`end[]`
@@ -28,11 +26,9 @@
 //!    are spliced in a single pass per batch flush, after the emit filter
 //!    and the Allen predicate filter have already run on inline chronons.
 //!
-//! The columnar kernels in [`crate::kernel::columnar`] are literal
-//! mirrors of the row kernels — same tie-breaks, same bucket masks, same
-//! counter semantics — so the emitted relation is **byte-identical** to
-//! the row path's under every layout; `tests/columnar_roundtrip.rs` pins
-//! this property across predicates and executors.
+//! The kernels live in [`crate::kernel::columnar`];
+//! `tests/columnar_roundtrip.rs` pins their results against the algebra
+//! oracles across predicates and executors.
 
 use crate::common::JoinSpec;
 use std::time::Instant;
@@ -52,35 +48,12 @@ fn prefetch_read<T>(p: *const T) {
     let _ = p;
 }
 
-/// Which physical layout the executors run their kernels on.
+/// Retired layout selector: every executor runs the columnar layout, so
+/// this selects nothing. Kept only because the `perfbench` crate still
+/// passes it to `vtjoin_engine::grid_execution_report_layout`.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Layout {
-    /// The pre-columnar path: kernels walk `&Tuple` slices directly.
-    Row,
-    /// Struct-of-arrays encode + columnar kernels + late materialization
-    /// (the default: byte-identical results, fewer pointer chases).
-    #[default]
-    Columnar,
-}
-
-impl Layout {
-    /// Parses a CLI value (`row` | `columnar`).
-    pub fn parse(s: &str) -> Option<Layout> {
-        match s {
-            "row" => Some(Layout::Row),
-            "columnar" => Some(Layout::Columnar),
-            _ => None,
-        }
-    }
-
-    /// Stable lower-case name (CLI round-trip).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Layout::Row => "row",
-            Layout::Columnar => "columnar",
-        }
-    }
-}
+pub struct Layout;
 
 /// One join side's struct-of-arrays encoding: parallel columns indexed by
 /// **row id** (the tuple's position in encode order), plus the borrowed
@@ -243,8 +216,7 @@ pub struct ColumnarPair<'a> {
 
 /// Encodes both join sides in one pass each: extracts the chronon and
 /// key-hash columns and interns every key in a shared [`KeyDictionary`].
-/// Row ids are assigned in iteration order, so the columnar kernels see
-/// rows in exactly the order the row kernels see tuples.
+/// Row ids are assigned in iteration order.
 pub fn encode_pair<'a, R, S>(spec: &JoinSpec, r: R, s: S) -> ColumnarPair<'a>
 where
     R: IntoIterator<Item = &'a Tuple>,
@@ -408,8 +380,7 @@ impl IdBatch {
     /// times, re-read from the inline chronon columns. Returns the number
     /// of rows materialized.
     ///
-    /// Unlike the row kernels — whose splice runs right after `keys_equal`
-    /// already pulled both tuples into cache — this pass visits tuples
+    /// The kernels never touch tuple storage, so this pass visits tuples
     /// cold, in row-id order dictated by the emission stream. The batch
     /// knows every upcoming (outer, inner) pair, so it software-prefetches
     /// two stages ahead: the `Tuple` structs far out, their value arrays
@@ -637,15 +608,6 @@ mod tests {
             &[Value::Int(1), Value::Int(10), Value::Int(20)]
         );
         assert_eq!(got[1].valid(), Interval::from_raw(1, 3).unwrap());
-    }
-
-    #[test]
-    fn layout_parses_and_round_trips() {
-        for s in ["row", "columnar"] {
-            assert_eq!(Layout::parse(s).unwrap().as_str(), s);
-        }
-        assert_eq!(Layout::parse("soa"), None);
-        assert_eq!(Layout::default(), Layout::Columnar);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Batched, reusable output emission.
 //!
-//! Every kernel emits result tuples into an [`OutputBatch`] instead of
-//! pushing them one at a time into a shared sink. The batch is a
+//! The serial partition join and the merge fallback emit result tuples
+//! into an [`OutputBatch`] instead of pushing them one at a time into a
+//! shared sink. The batch is a
 //! capacity-reserved, thread-local chunk: a worker calls
 //! [`OutputBatch::begin`] with a size estimate before joining a
 //! partition, [`OutputBatch::emit`] per match (the only allocation per

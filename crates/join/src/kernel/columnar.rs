@@ -1,33 +1,60 @@
-//! Columnar mirrors of the sweep and hash kernels.
+//! The columnar sweep and hash kernels.
 //!
 //! These kernels run on [`ColumnarSide`] column slices and emit
-//! `(outer row, inner row)` pairs into an [`IdBatch`] — no
-//! tuple is dereferenced and no `Vec<Value>` is compared or cloned
-//! anywhere on the hot path. Each is a **literal mirror** of its row
-//! twin ([`super::sweep_join`] / [`super::hash_join`] and their
-//! predicate forms):
+//! `(outer row, inner row)` pairs into an [`IdBatch`] — no tuple is
+//! dereferenced and no `Vec<Value>` is compared or cloned anywhere on
+//! the hot path. Key equality is a `u32` compare against the `key_id`
+//! column: the encode pass interned every key in a shared dictionary, so
+//! hash collisions are rejected without touching tuple storage.
 //!
-//! * the same bucket masks (`len.max(1).next_power_of_two()`), insertion
-//!   orders, and swap-remove expiry, so active-list and bucket scan
-//!   orders are identical;
-//! * the same tie-breaks (outer-first on equal starts, ascending event
-//!   index within a start — the stable radix sort reproduces the row
-//!   sweep's `(start, idx)` total order);
-//! * the same counter semantics (`comparisons`/`match_tests` count
-//!   hash-equal candidates, `filter_checks` counts key-equal pairs), so
-//!   the bench regression gate sees identical numbers from both layouts.
+//! **The sweep** ([`columnar_sweep_join`], after Piatov, Helmer & Dignös,
+//! *Cache-Efficient Sweeping-Based Interval Joins*) sorts both sides by
+//! interval start — a stable LSD radix sort on biased start chronons —
+//! and consumes them in merge order. When a row arrives, it (1) probes
+//! the **other** side's active list for its key hash — every live entry
+//! there started no later and has not ended, so the overlap is exactly
+//! `[arrival.start, min(ends)]` — and (2) enters its own side's active
+//! list. Expired entries (interval end before the arrival's start) are
+//! swap-removed lazily during the probe, keeping the per-bucket lists
+//! gapless and the amortized cost per discovered pair O(1).
 //!
-//! The one semantic substitution: the row kernels reject hash-collisions
-//! with a borrowed `Vec<Value>` compare per candidate; here the encode
-//! pass interned every key in a shared dictionary, so key equality is a
-//! `u32` compare against the `key_id` column. The gate estimator
-//! [`estimate_dups_per_key_x100_ids`] reads the same strided hash sample
-//! off the hash column, so `KernelChoice::Auto` resolves identically
-//! under either layout — a prerequisite for byte-identical output.
+//! Ties: when both sides have an arrival at the same start chronon, the
+//! outer side is processed first, so equal-start pairs are discovered
+//! exactly once — by the inner arrival probing the outer active list.
+//! Closed-interval semantics fall out of the `end < start` expiry test:
+//! boundary-touching intervals (`[0,5]` and `[5,9]`) share chronon 5 and
+//! match; abutting-but-disjoint ones (`[0,4]` and `[5,9]`) do not.
+//!
+//! **The hash kernel** ([`columnar_hash_join`]) builds a bucket table
+//! over the outer slice and probes every inner row through it, testing
+//! the overlap on inline chronons before the key id.
+//!
+//! Counter semantics (`comparisons`/`match_tests` count hash-equal
+//! candidates, `filter_checks` counts key-equal pairs) are what the bench
+//! regression gate pins. The gate estimator
+//! [`estimate_dups_per_key_x100_ids`] reads a strided hash sample off
+//! the hash column; it depends only on the cell's data, so
+//! `KernelChoice::Auto` resolves identically at every thread count.
 
-use super::{HashStats, KernelChoice, KernelKind, SweepStats, SWEEP_DUP_THRESHOLD_X100};
+use super::{HashStats, KernelChoice, KernelKind, SWEEP_DUP_THRESHOLD_X100};
 use crate::columnar::{biased_chronon, radix_sort_pairs, ColumnarSide, IdBatch};
 use vtjoin_core::{Chronon, Interval, JoinPredicate};
+
+/// What one sweep measured.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SweepStats {
+    /// Hash-equal candidate pairs inspected (every one already overlaps
+    /// in time — compare with the hash kernel's `match_tests`, most of
+    /// which fail the temporal predicate on duplicate-heavy data).
+    pub comparisons: u64,
+    /// Result tuples emitted.
+    pub pairs_emitted: u64,
+    /// Key-equal pairs tested against a generalized predicate filter
+    /// (zero for the natural join, which has no filter to run).
+    pub filter_checks: u64,
+    /// Filter tests that passed.
+    pub filter_hits: u64,
+}
 
 /// One side's cell-local column slice, gathered contiguously from the
 /// relation-wide [`ColumnarSide`] so the kernel loops stream over dense
@@ -68,8 +95,8 @@ impl SideSlice {
     }
 }
 
-/// A currently-open row in one side's active list (mirrors the row
-/// sweep's `ActiveEntry`, with the dictionary id in place of the tuple).
+/// A currently-open row in one side's active list: its join-key hash,
+/// inline interval end, dictionary key id, and slice index.
 #[derive(Debug, Clone, Copy)]
 struct ActiveEntry {
     hash: u64,
@@ -78,10 +105,8 @@ struct ActiveEntry {
     idx: u32,
 }
 
-/// Gapless active lists keyed by join-key hash — the columnar twin of the
-/// row sweep's `ActiveLists`, with the identical grow-only bucket table
-/// and partition-pure mask so co-residency and swap-remove order match
-/// the row kernel bucket-for-bucket.
+/// Gapless active lists keyed by join-key hash: power-of-two buckets of
+/// open rows, compacted by swap-remove as entries expire.
 #[derive(Debug, Default)]
 struct ActiveLists {
     buckets: Vec<Vec<ActiveEntry>>,
@@ -89,6 +114,9 @@ struct ActiveLists {
 }
 
 impl ActiveLists {
+    /// Clears the lists for a new partition, growing (never shrinking)
+    /// the bucket table to cover `expected` entries, so the allocation is
+    /// reused across stolen partitions.
     fn reset(&mut self, expected: usize) {
         let want = expected.max(1).next_power_of_two();
         if want > self.buckets.len() {
@@ -97,6 +125,11 @@ impl ActiveLists {
         for b in &mut self.buckets {
             b.clear();
         }
+        // Mask over exactly `want` buckets, not the (grow-only) table
+        // length: bucket co-residency — and with it the swap-remove order
+        // of hash-equal entries — must be a pure function of *this*
+        // partition, never of which partitions this scratch served
+        // before, or output order would vary with thread scheduling.
         self.mask = want - 1;
     }
 
@@ -112,7 +145,7 @@ impl ActiveLists {
 
     /// Visits every live hash-equal entry, swap-removing expired ones;
     /// returns the number of hash-equal candidates inspected (the
-    /// `comparisons` counter, identical to the row kernel's).
+    /// `comparisons` counter).
     #[inline]
     fn probe(
         &mut self,
@@ -168,10 +201,15 @@ impl ColumnarScratch {
     }
 }
 
-/// Mirrors [`super::estimate_dups_per_key_x100`] over the pre-hashed key
-/// column: identical strides, identical sample, identical fixed-point
-/// arithmetic — so the `Auto` gate picks the same kernel per partition
-/// under either layout.
+/// Estimates duplicates-per-key (×100, fixed point) over both sides of a
+/// partition from a strided sample of the pre-hashed key column.
+///
+/// Two regimes: when the sample's distinct count is well below the sample
+/// size, the key space is *saturated* — the sample has seen (nearly) all
+/// keys, so dups ≈ `total / distinct` extrapolated over the full
+/// partition. Otherwise keys are mostly unique in the sample and the
+/// in-sample ratio `sample / distinct` (≈ 1.0) is the honest estimate —
+/// extrapolating would fabricate duplication a small sample cannot see.
 pub fn estimate_dups_per_key_x100_ids(
     r: &ColumnarSide<'_>,
     r_rows: &[u32],
@@ -199,7 +237,9 @@ pub fn estimate_dups_per_key_x100_ids(
     }
 }
 
-/// Columnar twin of [`super::choose_kernel`].
+/// Resolves the kernel for one partition. Deterministic: depends only on
+/// the partition's data (never on thread count or scheduling), so
+/// parallel output stays identical across worker counts.
 pub fn choose_kernel_ids(
     choice: KernelChoice,
     r: &ColumnarSide<'_>,
@@ -221,24 +261,20 @@ pub fn choose_kernel_ids(
 }
 
 /// Columnar forward-sweep join over per-cell column slices, emitting
-/// row-id pairs; returns the sweep stats plus the number of radix
-/// counting passes executed. Mirrors [`super::sweep_join`].
-pub fn columnar_sweep_join(
-    r: &ColumnarSide<'_>,
-    r_rows: &[u32],
-    s: &ColumnarSide<'_>,
-    s_rows: &[u32],
-    emit_within: Interval,
-    scratch: &mut ColumnarScratch,
-    out: &mut IdBatch,
-) -> (SweepStats, u64) {
-    sweep_ids(r, r_rows, s, s_rows, None, emit_within, scratch, out)
-}
-
-/// Predicate-parameterized columnar sweep; mirrors
-/// [`super::sweep_join_pred`] (intersection templates only).
+/// row-id pairs whose overlap ends inside `emit_within` (the
+/// canonical-partition de-duplication rule shared with the hash kernel);
+/// returns the sweep stats plus the number of radix counting passes
+/// executed.
+///
+/// `pred` must be an **intersection-template** predicate (see
+/// [`JoinPredicate::template`]): the active lists can only discover pairs
+/// whose intervals intersect, and the emit rule de-duplicates by overlap
+/// end. For such predicates [`JoinPredicate::stamp`] *is* the overlap.
+/// The natural join runs filter-free; any other predicate filters each
+/// key-equal overlapping pair. Callers route sequence and mixed templates
+/// to the merge fallback (`merge_join_pred`) instead.
 #[allow(clippy::too_many_arguments)]
-pub fn columnar_sweep_join_pred(
+pub fn columnar_sweep_join(
     pred: &JoinPredicate,
     r: &ColumnarSide<'_>,
     r_rows: &[u32],
@@ -250,9 +286,10 @@ pub fn columnar_sweep_join_pred(
 ) -> (SweepStats, u64) {
     debug_assert!(
         pred.partitioning_eligible(),
-        "columnar_sweep_join_pred requires an intersection-template predicate"
+        "columnar_sweep_join requires an intersection-template predicate"
     );
-    sweep_ids(r, r_rows, s, s_rows, Some(pred), emit_within, scratch, out)
+    let filter = (!pred.is_natural()).then_some(pred);
+    sweep_ids(r, r_rows, s, s_rows, filter, emit_within, scratch, out)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -280,8 +317,8 @@ fn sweep_ids(
     s_slice.gather(s, s_rows);
 
     // Event order = (start, slice index): pairs are pushed in ascending
-    // index order and the radix sort is stable, reproducing the row
-    // sweep's `sort_unstable_by_key(|e| (e.start, e.idx))` exactly.
+    // index order and the radix sort is stable, so ties keep index order
+    // and the sweep is deterministic.
     r_order.clear();
     r_order.extend(
         r_slice
@@ -361,27 +398,13 @@ fn sweep_ids(
 }
 
 /// Columnar hash join over per-cell column slices, emitting row-id
-/// pairs; mirrors [`super::hash_join`] (same bucket count, insertion
-/// order, probe order, and counter semantics). The overlap test and the
-/// canonical-partition emit filter run on inline chronons *before* the
-/// key test, so temporally-disjoint hash-equal candidates cost one `u64`
-/// compare and two chronon compares — no pointer chase, no splice.
-pub fn columnar_hash_join(
-    r: &ColumnarSide<'_>,
-    r_rows: &[u32],
-    s: &ColumnarSide<'_>,
-    s_rows: &[u32],
-    emit_within: Interval,
-    scratch: &mut ColumnarScratch,
-    out: &mut IdBatch,
-) -> HashStats {
-    hash_ids(r, r_rows, s, s_rows, None, emit_within, scratch, out)
-}
-
-/// Predicate-parameterized columnar hash join; mirrors
-/// [`super::hash_join_pred`] (intersection templates only).
+/// pairs under the same emit rule and predicate contract as
+/// [`columnar_sweep_join`]. The overlap test and the canonical-partition
+/// emit filter run on inline chronons *before* the key test, so
+/// temporally-disjoint hash-equal candidates cost one `u64` compare and
+/// two chronon compares — no pointer chase, no splice.
 #[allow(clippy::too_many_arguments)]
-pub fn columnar_hash_join_pred(
+pub fn columnar_hash_join(
     pred: &JoinPredicate,
     r: &ColumnarSide<'_>,
     r_rows: &[u32],
@@ -393,9 +416,10 @@ pub fn columnar_hash_join_pred(
 ) -> HashStats {
     debug_assert!(
         pred.partitioning_eligible(),
-        "columnar_hash_join_pred requires an intersection-template predicate"
+        "columnar_hash_join requires an intersection-template predicate"
     );
-    hash_ids(r, r_rows, s, s_rows, Some(pred), emit_within, scratch, out)
+    let filter = (!pred.is_natural()).then_some(pred);
+    hash_ids(r, r_rows, s, s_rows, filter, emit_within, scratch, out)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -437,9 +461,7 @@ fn hash_ids(
             match filter {
                 None => {
                     // Natural join: overlap + emit filter from inline
-                    // chronons, key id last (commutes with the row
-                    // kernel's keys-first order — same survivors, same
-                    // emission order).
+                    // chronons, key id last (the cheapest rejects first).
                     let os = r_slice.starts[i].max(y_start);
                     let oe = r_slice.ends[i].min(y_end);
                     if os <= oe && emit_within.contains_chronon(oe) && r_slice.key_ids[i] == y_key {
@@ -448,8 +470,7 @@ fn hash_ids(
                     }
                 }
                 Some(pred) => {
-                    // Mirror `probe_each_pred`'s counter semantics: a
-                    // check per key-equal candidate, a hit per filter
+                    // A check per key-equal candidate, a hit per filter
                     // pass, then the canonical-partition rule on the
                     // stamp's end.
                     if r_slice.key_ids[i] != y_key {
@@ -482,36 +503,49 @@ mod tests {
     use super::*;
     use crate::columnar::encode_pair;
     use crate::common::JoinSpec;
-    use crate::kernel::{
-        choose_kernel, estimate_dups_per_key_x100, hash_join, hash_join_pred, sweep_join,
-        sweep_join_pred, OutputBatch, SweepScratch,
-    };
     use std::sync::Arc;
+    use vtjoin_core::algebra::predicate_join;
     use vtjoin_core::{AttrDef, AttrType, Relation, Schema, Tuple, Value};
 
+    fn schemas() -> (Arc<Schema>, Arc<Schema>) {
+        let mk = |other: &str| {
+            Schema::new(vec![
+                AttrDef::new("k", AttrType::Int),
+                AttrDef::new(other, AttrType::Int),
+            ])
+            .unwrap()
+            .into_shared()
+        };
+        (mk("b"), mk("c"))
+    }
+
+    fn rel(schema: Arc<Schema>, raw: &[(i64, i64, i64, i64)]) -> Relation {
+        let tuples = raw
+            .iter()
+            .map(|&(k, v, s, e)| {
+                Tuple::new(
+                    vec![Value::Int(k), Value::Int(v)],
+                    Interval::from_raw(s, e).unwrap(),
+                )
+            })
+            .collect();
+        Relation::from_parts_unchecked(schema, tuples)
+    }
+
     fn pair(keys: i64, n: i64) -> (Relation, Relation) {
-        let rs = Schema::new(vec![
-            AttrDef::new("k", AttrType::Int),
-            AttrDef::new("b", AttrType::Int),
-        ])
-        .unwrap()
-        .into_shared();
-        let ss = Schema::new(vec![
-            AttrDef::new("k", AttrType::Int),
-            AttrDef::new("c", AttrType::Int),
-        ])
-        .unwrap()
-        .into_shared();
+        let (rs, ss) = schemas();
         let mk = |schema: Arc<Schema>, salt: i64| {
-            let tuples = (0..n)
+            let raw: Vec<_> = (0..n)
                 .map(|i| {
-                    Tuple::new(
-                        vec![Value::Int((i * salt) % keys), Value::Int(i)],
-                        Interval::from_raw((i * 7) % 50, (i * 7) % 50 + 1 + i % 13).unwrap(),
+                    (
+                        (i * salt) % keys,
+                        i,
+                        (i * 7) % 50,
+                        (i * 7) % 50 + 1 + i % 13,
                     )
                 })
                 .collect();
-            Relation::from_parts_unchecked(schema, tuples)
+            rel(schema, &raw)
         };
         (mk(rs, 1), mk(ss, 3))
     }
@@ -520,130 +554,206 @@ mod tests {
         (0..n as u32).collect()
     }
 
-    /// Runs both layouts over the same partition and asserts identical
-    /// emitted tuples (order included) and identical counters.
-    fn assert_mirrors(keys: i64, n: i64, window: Interval, pred: Option<&str>) {
-        let (r, s) = pair(keys, n);
+    /// Both kernels over whole relations under one emit window: the
+    /// materialized results plus each kernel's stats.
+    struct Both {
+        hash: Relation,
+        sweep: Relation,
+        hash_stats: HashStats,
+        sweep_stats: SweepStats,
+    }
+
+    fn run_both(r: &Relation, s: &Relation, window: Interval, pred: &JoinPredicate) -> Both {
         let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
-        let rr: Vec<&Tuple> = r.iter().collect();
-        let sr: Vec<&Tuple> = s.iter().collect();
         let enc = encode_pair(&spec, r.iter(), s.iter());
-        let (r_rows, s_rows) = (all_rows(rr.len()), all_rows(sr.len()));
-        let mut cs = ColumnarScratch::default();
-        let pred: Option<JoinPredicate> = pred.map(|p| p.parse().unwrap());
+        let (rr, sr) = (all_rows(r.len()), all_rows(s.len()));
+        let (o, i) = (&enc.outer, &enc.inner);
+        let mut scratch = ColumnarScratch::default();
+        let mut out = IdBatch::new();
+        let materialize = |out: &mut IdBatch| {
+            let mut tuples = Vec::new();
+            out.materialize_each(&spec, o, i, |t| tuples.push(t));
+            Relation::from_parts_unchecked(Arc::clone(spec.out_schema()), tuples)
+        };
+        let hash_stats = columnar_hash_join(pred, o, &rr, i, &sr, window, &mut scratch, &mut out);
+        let hash = materialize(&mut out);
+        let (sweep_stats, _) =
+            columnar_sweep_join(pred, o, &rr, i, &sr, window, &mut scratch, &mut out);
+        let sweep = materialize(&mut out);
+        Both {
+            hash,
+            sweep,
+            hash_stats,
+            sweep_stats,
+        }
+    }
 
-        // Sweep.
-        let mut row_out = OutputBatch::new();
-        let mut sws = SweepScratch::default();
-        let row_stats = match &pred {
-            None => sweep_join(&spec, &rr, &sr, window, &mut sws, &mut row_out),
-            Some(p) => sweep_join_pred(&spec, p, &rr, &sr, window, &mut sws, &mut row_out),
-        };
-        let mut col_out = IdBatch::new();
-        let (col_stats, _) = match &pred {
-            None => columnar_sweep_join(
-                &enc.outer,
-                &r_rows,
-                &enc.inner,
-                &s_rows,
-                window,
-                &mut cs,
-                &mut col_out,
-            ),
-            Some(p) => columnar_sweep_join_pred(
-                p,
-                &enc.outer,
-                &r_rows,
-                &enc.inner,
-                &s_rows,
-                window,
-                &mut cs,
-                &mut col_out,
-            ),
-        };
-        assert_eq!(row_stats, col_stats, "sweep stats diverge");
-        let mut col_tuples = Vec::new();
-        col_out.materialize_each(&spec, &enc.outer, &enc.inner, |t| col_tuples.push(t));
-        assert_eq!(row_out.take(), col_tuples, "sweep output diverges");
-
-        // Hash.
-        let mut row_out = OutputBatch::new();
-        let row_stats = match &pred {
-            None => hash_join(&spec, &rr, &sr, window, &mut row_out),
-            Some(p) => hash_join_pred(&spec, p, &rr, &sr, window, &mut row_out),
-        };
-        let mut col_out = IdBatch::new();
-        let col_stats = match &pred {
-            None => columnar_hash_join(
-                &enc.outer,
-                &r_rows,
-                &enc.inner,
-                &s_rows,
-                window,
-                &mut cs,
-                &mut col_out,
-            ),
-            Some(p) => columnar_hash_join_pred(
-                p,
-                &enc.outer,
-                &r_rows,
-                &enc.inner,
-                &s_rows,
-                window,
-                &mut cs,
-                &mut col_out,
-            ),
-        };
-        assert_eq!(row_stats, col_stats, "hash stats diverge");
-        let mut col_tuples = Vec::new();
-        col_out.materialize_each(&spec, &enc.outer, &enc.inner, |t| col_tuples.push(t));
-        assert_eq!(row_out.take(), col_tuples, "hash output diverges");
+    /// Both kernels emit exactly the oracle pairs whose stamp ends in
+    /// `window`, with matching emit and filter counters.
+    fn assert_oracle(keys: i64, n: i64, window: Interval, pred: &str) {
+        let (r, s) = pair(keys, n);
+        let pred: JoinPredicate = pred.parse().unwrap();
+        let oracle = predicate_join(&r, &s, &pred).unwrap();
+        let want = Relation::from_parts_unchecked(
+            Arc::clone(oracle.schema()),
+            oracle
+                .iter()
+                .filter(|t| window.contains_chronon(t.valid().end()))
+                .cloned()
+                .collect(),
+        );
+        let got = run_both(&r, &s, window, &pred);
+        assert!(got.hash.multiset_eq(&want), "hash: {pred} {window}");
+        assert!(got.sweep.multiset_eq(&want), "sweep: {pred} {window}");
+        let (h, sw) = (got.hash_stats, got.sweep_stats);
+        assert_eq!(h.pairs_emitted, want.len() as u64);
+        assert_eq!(sw.pairs_emitted, want.len() as u64);
+        if window == Interval::ALL {
+            // Under a narrower window the sweep drops non-canonical pairs
+            // before filtering, the hash kernel after.
+            assert_eq!(h.filter_hits, sw.filter_hits, "{pred}");
+        }
+        // Every sweep comparison overlaps in time; hash match tests
+        // include temporal rejects, so the sweep never inspects more.
+        assert!(sw.comparisons <= h.match_tests, "{pred}");
     }
 
     #[test]
-    fn kernels_mirror_row_path_on_duplicate_heavy_data() {
-        assert_mirrors(4, 300, Interval::ALL, None);
+    fn kernels_match_the_oracle_on_duplicate_heavy_data() {
+        assert_oracle(4, 300, Interval::ALL, "intersects");
     }
 
     #[test]
-    fn kernels_mirror_row_path_on_unique_keys() {
-        assert_mirrors(1000, 300, Interval::ALL, None);
+    fn kernels_match_the_oracle_on_unique_keys() {
+        assert_oracle(1000, 300, Interval::ALL, "intersects");
     }
 
     #[test]
-    fn kernels_mirror_row_path_under_emit_window() {
-        assert_mirrors(8, 200, Interval::from_raw(10, 40).unwrap(), None);
+    fn kernels_match_the_oracle_under_emit_window() {
+        assert_oracle(8, 200, Interval::from_raw(10, 40).unwrap(), "intersects");
     }
 
     #[test]
-    fn predicate_kernels_mirror_row_path() {
+    fn predicate_kernels_match_the_oracle() {
         for p in ["overlaps", "contains", "during-or-equals", "intersects"] {
-            assert_mirrors(6, 200, Interval::ALL, Some(p));
-            assert_mirrors(6, 200, Interval::from_raw(5, 45).unwrap(), Some(p));
+            assert_oracle(6, 200, Interval::ALL, p);
+            assert_oracle(6, 200, Interval::from_raw(5, 45).unwrap(), p);
         }
     }
 
     #[test]
-    fn gate_estimate_matches_row_estimator() {
-        for keys in [2i64, 16, 500] {
-            let (r, s) = pair(keys, 400);
-            let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
-            let rr: Vec<&Tuple> = r.iter().collect();
-            let sr: Vec<&Tuple> = s.iter().collect();
-            let enc = encode_pair(&spec, r.iter(), s.iter());
-            let (r_rows, s_rows) = (all_rows(rr.len()), all_rows(sr.len()));
-            assert_eq!(
-                estimate_dups_per_key_x100(&spec, &rr, &sr),
-                estimate_dups_per_key_x100_ids(&enc.outer, &r_rows, &enc.inner, &s_rows),
-                "keys={keys}"
-            );
-            for choice in [KernelChoice::Auto, KernelChoice::Hash, KernelChoice::Sweep] {
-                assert_eq!(
-                    choose_kernel(choice, &spec, &rr, &sr),
-                    choose_kernel_ids(choice, &enc.outer, &r_rows, &enc.inner, &s_rows)
-                );
-            }
+    fn boundary_touching_intervals_match_and_abutting_do_not() {
+        let (rs, ss) = schemas();
+        // [0,5] ∩ [5,9] = [5,5]: closed intervals share chronon 5.
+        let r = rel(rs, &[(1, 0, 0, 5), (2, 1, 0, 4)]);
+        let s = rel(ss, &[(1, 9, 5, 9), (2, 8, 5, 9)]);
+        let got = run_both(&r, &s, Interval::ALL, &JoinPredicate::intersects());
+        for out in [&got.hash, &got.sweep] {
+            assert_eq!(out.len(), 1);
+            assert_eq!(out.tuples()[0].valid(), Interval::from_raw(5, 5).unwrap());
         }
+    }
+
+    #[test]
+    fn equal_start_pairs_emitted_exactly_once() {
+        let (rs, ss) = schemas();
+        let r = rel(rs, &[(1, 0, 5, 10), (1, 1, 5, 7)]);
+        let s = rel(ss, &[(1, 9, 5, 6), (1, 8, 5, 12)]);
+        let want = predicate_join(&r, &s, &JoinPredicate::intersects()).unwrap();
+        let got = run_both(&r, &s, Interval::ALL, &JoinPredicate::intersects());
+        assert_eq!(got.sweep.len(), 4);
+        assert!(got.sweep.multiset_eq(&want));
+        assert!(got.hash.multiset_eq(&want));
+    }
+
+    #[test]
+    fn emit_window_filters_by_overlap_end() {
+        let (rs, ss) = schemas();
+        let r = rel(rs, &[(1, 0, 0, 10)]);
+        let s = rel(ss, &[(1, 9, 2, 4), (1, 8, 3, 20)]);
+        // Overlaps end at 4 and 10; the window [0,5] keeps only the first.
+        let window = Interval::from_raw(0, 5).unwrap();
+        let got = run_both(&r, &s, window, &JoinPredicate::intersects());
+        assert_eq!(got.sweep.len(), 1);
+        assert_eq!(got.sweep_stats.pairs_emitted, 1);
+        assert!(got.sweep_stats.comparisons >= 2);
+        assert!(got.hash.multiset_eq(&got.sweep));
+    }
+
+    #[test]
+    fn predicate_filter_runs_on_key_equal_overlaps() {
+        let (rs, ss) = schemas();
+        // [0,10] contains [2,4] but only overlaps [5,20].
+        let r = rel(rs, &[(1, 0, 0, 10)]);
+        let s = rel(ss, &[(1, 9, 2, 4), (1, 8, 5, 20)]);
+        let pred: JoinPredicate = "contains".parse().unwrap();
+        let got = run_both(&r, &s, Interval::ALL, &pred);
+        for (checks, hits, out) in [
+            (
+                got.sweep_stats.filter_checks,
+                got.sweep_stats.filter_hits,
+                &got.sweep,
+            ),
+            (
+                got.hash_stats.filter_checks,
+                got.hash_stats.filter_hits,
+                &got.hash,
+            ),
+        ] {
+            assert_eq!((checks, hits), (2, 1));
+            assert_eq!(out.tuples()[0].valid(), Interval::from_raw(2, 4).unwrap());
+        }
+    }
+
+    #[test]
+    fn scratch_reuse_across_partitions_is_clean() {
+        let (rs, ss) = schemas();
+        let big_r = rel(
+            rs,
+            &(0..64).map(|i| (i % 4, i, i, i + 5)).collect::<Vec<_>>(),
+        );
+        let big_s = rel(
+            ss,
+            &(0..64)
+                .map(|i| (i % 4, i, i + 1, i + 6))
+                .collect::<Vec<_>>(),
+        );
+        let spec = JoinSpec::natural(big_r.schema(), big_s.schema()).unwrap();
+        let enc = encode_pair(&spec, big_r.iter(), big_s.iter());
+        let (o, i) = (&enc.outer, &enc.inner);
+        let pred = JoinPredicate::intersects();
+        let mut scratch = ColumnarScratch::default();
+        let mut out = IdBatch::new();
+        let (all_r, all_s) = (all_rows(o.len()), all_rows(i.len()));
+        columnar_sweep_join(
+            &pred,
+            o,
+            &all_r,
+            i,
+            &all_s,
+            Interval::ALL,
+            &mut scratch,
+            &mut out,
+        );
+        assert!(out.materialize_each(&spec, o, i, drop) > 0);
+
+        // A much smaller partition — outer row 4 ([4,9], key 0) against
+        // inner row 4 ([5,10], key 0), one pair — through the same, now
+        // oversized, scratch must see none of the previous partition's
+        // state.
+        let (small_r, small_s) = ([4u32], [4u32]);
+        columnar_sweep_join(
+            &pred,
+            o,
+            &small_r,
+            i,
+            &small_s,
+            Interval::ALL,
+            &mut scratch,
+            &mut out,
+        );
+        assert_eq!(out.materialize_each(&spec, o, i, drop), 1);
+        assert_eq!(out.batches_flushed(), 2);
     }
 
     #[test]
@@ -651,9 +761,11 @@ mod tests {
         let (r, s) = pair(4, 8);
         let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
         let enc = encode_pair(&spec, r.iter(), s.iter());
+        let pred = JoinPredicate::intersects();
         let mut cs = ColumnarScratch::default();
         let mut out = IdBatch::new();
         let (stats, _) = columnar_sweep_join(
+            &pred,
             &enc.outer,
             &all_rows(enc.outer.len()),
             &enc.inner,
@@ -665,6 +777,7 @@ mod tests {
         assert_eq!(stats.pairs_emitted, 0);
         assert!(out.is_empty());
         let hstats = columnar_hash_join(
+            &pred,
             &enc.outer,
             &[],
             &enc.inner,

@@ -41,8 +41,7 @@ use vtjoin_core::{Chronon, Interval, JoinPredicate, Operator};
 /// `ids` carries caller-chosen (typically relation-global) tuple ids so
 /// fragments from different cells can be stitched per tuple; the
 /// remaining columns are the interval endpoints and the join-key hash.
-/// Works unchanged over row storage (columns gathered from `&[&Tuple]`)
-/// and columnar storage (columns borrowed from a `ColumnarSide`).
+/// The operator executor gathers them per cell from a `ColumnarSide`.
 #[derive(Debug, Clone, Copy)]
 pub struct TrackedInput<'a> {
     /// Caller-chosen tuple id per local row.
@@ -289,7 +288,7 @@ fn finish(
 ///
 /// `keys_equal(outer_local, inner_local)` resolves hash collisions; only
 /// intersection-template predicates may be passed (as for
-/// `sweep_join_pred` — sequence/mixed predicates cannot run on an
+/// `columnar_sweep_join` — sequence/mixed predicates cannot run on an
 /// overlap sweep). Pairs obey the canonical-partition `emit_within`
 /// rule; coverage and fragments are clipped to `emit_within`, which for
 /// the inner (key-bucketed) dimension of a grid is sound because

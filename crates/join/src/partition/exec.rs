@@ -28,9 +28,9 @@
 //! "buffer thrashing" cost.
 
 use super::intervals::is_partitioning;
-use crate::columnar::{encode_pair, ColumnarCounters, IdBatch, Layout};
-use crate::common::{BlockTable, CpuCounters, JoinError, JoinSpec, Result, ResultSink};
-use crate::kernel::{columnar_hash_join, columnar_hash_join_pred, ColumnarScratch, OutputBatch};
+use crate::columnar::{encode_pair, ColumnarCounters, IdBatch};
+use crate::common::{CpuCounters, JoinError, JoinSpec, Result, ResultSink};
+use crate::kernel::{columnar_hash_join, ColumnarScratch, OutputBatch};
 use vtjoin_core::{Interval, JoinPredicate, Tuple};
 use vtjoin_storage::{codec, FileHandle, HeapFile, PageBuf};
 
@@ -75,7 +75,7 @@ pub struct ExecNotes {
     pub overflow_chunks: i64,
     /// Long-lived outer tuples retained across partition boundaries.
     pub retained_outer_tuples: i64,
-    /// Hash-kernel block tables built (one per outer chunk).
+    /// Hash-kernel tables built (one per outer chunk).
     pub hash_tables: i64,
     /// Output batches handed to the sink (one per result-producing
     /// partition, instead of one sink push per tuple).
@@ -87,9 +87,8 @@ pub struct ExecNotes {
     pub filter_hits: i64,
     /// Main-memory operation counts (§5 future-work extension).
     pub cpu: CpuCounters,
-    /// Columnar-path accounting; `None` for row-layout runs (the report
-    /// then carries no `columnar_*` notes).
-    pub columnar: Option<ColumnarCounters>,
+    /// Columnar-path accounting (encode, dictionary, materialization).
+    pub columnar: ColumnarCounters,
 }
 
 /// The tuple cache: one in-memory accumulating page, a small
@@ -219,7 +218,6 @@ pub fn join_partitions(
     reserved_cache_pages: u64,
     spec: &JoinSpec,
     pred: &JoinPredicate,
-    layout: Layout,
     sink: &mut ResultSink,
 ) -> Result<ExecNotes> {
     debug_assert!(pred.partitioning_eligible());
@@ -238,16 +236,12 @@ pub fn join_partitions(
     let cache_capacity = s_total_pages + n as u64 + 1;
 
     let mut notes = ExecNotes::default();
-    if layout == Layout::Columnar {
-        notes.columnar = Some(ColumnarCounters::default());
-    }
     let mut outer_part: Vec<Tuple> = Vec::new();
     // Matches accumulate here and reach the sink once per partition; the
     // chunk's allocation is reused for the whole run (`absorb` drains
     // without freeing).
     let mut batch = OutputBatch::new();
-    // Columnar-path scratch, likewise reused across every partition and
-    // chunk (empty and untouched under the row layout).
+    // Kernel scratch, likewise reused across every partition and chunk.
     let mut id_batch = IdBatch::new();
     let mut col_scratch = ColumnarScratch::default();
     // Ping-pong cache stores: `old` was filled while joining p_{i+1}.
@@ -280,152 +274,61 @@ pub fn join_partitions(
 
         for (ci, range) in chunks.iter().enumerate() {
             let migrate = ci == 0;
-            if layout == Layout::Columnar {
-                // Columnar chunk evaluation: gather the chunk's probe
-                // stream (same page reads, same order as the row path),
-                // encode both sides struct-of-arrays, run the columnar
-                // hash kernel over the id columns, and late-materialize
-                // the id pairs into the partition batch. The emission
-                // order, canonical-partition rule, and every CPU counter
-                // mirror the row path exactly.
-                let mut loaded: Vec<Tuple> = Vec::new();
-                for cp in 0..old_cache.disk_pages() {
-                    loaded.extend(old_cache.read_disk_page(cp)?);
-                    notes.cache_page_reads += 1;
-                }
-                for sp in 0..s_parts[i].pages() {
-                    loaded.extend(s_parts[i].read_page(sp)?);
-                }
-                let enc = encode_pair(
-                    spec,
-                    outer_part[range.clone()].iter(),
-                    old_cache
-                        .current
-                        .iter()
-                        .chain(old_cache.mem_pages.iter().flatten())
-                        .chain(loaded.iter()),
-                );
-                notes.hash_tables += 1;
-                let r_rows: Vec<u32> = (0..enc.outer.len() as u32).collect();
-                let s_rows: Vec<u32> = (0..enc.inner.len() as u32).collect();
-                id_batch.begin(r_rows.len().max(16));
-                let hs = if pred.is_natural() {
-                    columnar_hash_join(
-                        &enc.outer,
-                        &r_rows,
-                        &enc.inner,
-                        &s_rows,
-                        p_i,
-                        &mut col_scratch,
-                        &mut id_batch,
-                    )
-                } else {
-                    columnar_hash_join_pred(
-                        pred,
-                        &enc.outer,
-                        &r_rows,
-                        &enc.inner,
-                        &s_rows,
-                        p_i,
-                        &mut col_scratch,
-                        &mut id_batch,
-                    )
-                };
-                notes.cpu.probes += hs.probes;
-                notes.cpu.match_tests += hs.match_tests;
-                notes.filter_checks += hs.filter_checks as i64;
-                notes.filter_hits += hs.filter_hits as i64;
-                let materialized =
-                    id_batch.materialize_each(spec, &enc.outer, &enc.inner, |z| batch.emit(z));
-                let col = notes.columnar.as_mut().expect("columnar layout");
-                col.encode_micros += enc.encode_micros;
-                col.dict_size = col.dict_size.max(enc.dict_size);
-                col.materialized_rows += materialized;
-                // Migration (first chunk only): flushed-cache tuples then
-                // stored inner tuples — the same push order the row path
-                // produces, deferred past the borrow of `loaded`.
-                if migrate {
-                    if let Some(prev) = p_prev {
-                        for y in loaded {
-                            if y.valid().overlaps(prev) {
-                                new_cache.push(y)?;
-                            }
-                        }
-                    }
-                }
-                continue;
-            }
-            let table = BlockTable::build(spec, &outer_part[range.clone()]);
-            notes.hash_tables += 1;
-            let out = &mut batch;
-            let natural = pred.is_natural();
-            let (mut filter_checks, mut filter_hits) = (0u64, 0u64);
-            let mut probe = |table: &BlockTable<'_>, y: &Tuple| {
-                if natural {
-                    table.probe_each(y, |z| {
-                        if p_i.contains_chronon(z.valid().end()) {
-                            out.emit(z);
-                        }
-                    });
-                } else {
-                    // Intersection-template stamps are overlaps, so the
-                    // same canonical-partition rule de-duplicates.
-                    let (c, h) = table.probe_each_pred(pred, y, |z| {
-                        if p_i.contains_chronon(z.valid().end()) {
-                            out.emit(z);
-                        }
-                    });
-                    filter_checks += c;
-                    filter_hits += h;
-                }
-            };
-
-            // 2. The in-memory cache page from the previous iteration.
-            for y in &old_cache.current {
-                probe(&table, y);
-            }
-            // 2b. Reserved in-memory cache pages (extension; free I/O).
-            for page in &old_cache.mem_pages {
-                for y in page {
-                    probe(&table, y);
-                }
-            }
-            // 3. Flushed cache pages (charged reads).
+            // Chunk evaluation: gather the chunk's probe stream (cache
+            // pages, then the stored inner partition), encode both sides
+            // struct-of-arrays, run the hash kernel over the id columns,
+            // and late-materialize the id pairs into the partition batch.
+            let mut loaded: Vec<Tuple> = Vec::new();
             for cp in 0..old_cache.disk_pages() {
-                let tuples = old_cache.read_disk_page(cp)?;
+                loaded.extend(old_cache.read_disk_page(cp)?);
                 notes.cache_page_reads += 1;
-                for y in &tuples {
-                    probe(&table, y);
-                }
-                if migrate {
-                    if let Some(prev) = p_prev {
-                        for y in tuples {
-                            if y.valid().overlaps(prev) {
-                                new_cache.push(y)?;
-                            }
-                        }
-                    }
-                }
             }
-            // 4. The stored inner partition.
             for sp in 0..s_parts[i].pages() {
-                let tuples = s_parts[i].read_page(sp)?;
-                for y in &tuples {
-                    probe(&table, y);
-                }
-                if migrate {
-                    if let Some(prev) = p_prev {
-                        for y in tuples {
-                            if y.valid().overlaps(prev) {
-                                new_cache.push(y)?;
-                            }
+                loaded.extend(s_parts[i].read_page(sp)?);
+            }
+            let enc = encode_pair(
+                spec,
+                outer_part[range.clone()].iter(),
+                old_cache
+                    .current
+                    .iter()
+                    .chain(old_cache.mem_pages.iter().flatten())
+                    .chain(loaded.iter()),
+            );
+            notes.hash_tables += 1;
+            let r_rows: Vec<u32> = (0..enc.outer.len() as u32).collect();
+            let s_rows: Vec<u32> = (0..enc.inner.len() as u32).collect();
+            id_batch.begin(r_rows.len().max(16));
+            let hs = columnar_hash_join(
+                pred,
+                &enc.outer,
+                &r_rows,
+                &enc.inner,
+                &s_rows,
+                p_i,
+                &mut col_scratch,
+                &mut id_batch,
+            );
+            notes.cpu.probes += hs.probes;
+            notes.cpu.match_tests += hs.match_tests;
+            notes.filter_checks += hs.filter_checks as i64;
+            notes.filter_hits += hs.filter_hits as i64;
+            let materialized =
+                id_batch.materialize_each(spec, &enc.outer, &enc.inner, |z| batch.emit(z));
+            notes.columnar.encode_micros += enc.encode_micros;
+            notes.columnar.dict_size = notes.columnar.dict_size.max(enc.dict_size);
+            notes.columnar.materialized_rows += materialized;
+            // Migration (first chunk only): flushed-cache tuples then
+            // stored inner tuples overlapping the previous partition.
+            if migrate {
+                if let Some(prev) = p_prev {
+                    for y in loaded {
+                        if y.valid().overlaps(prev) {
+                            new_cache.push(y)?;
                         }
                     }
                 }
             }
-            notes.cpu.absorb(&table);
-            notes.filter_checks += filter_checks as i64;
-            notes.filter_hits += filter_hits as i64;
         }
 
         // One batched hand-over per result-producing partition.
@@ -548,13 +451,12 @@ mod tests {
         Relation::from_parts_unchecked(schema, tuples)
     }
 
-    fn run_exec_layout(
+    fn run_exec(
         r: &Relation,
         s: &Relation,
         num_parts: u64,
         buffer: u64,
         reserved: u64,
-        layout: Layout,
     ) -> (Relation, ExecNotes, vtjoin_storage::IoStats) {
         let disk = SharedDisk::new(256);
         let hr = HeapFile::bulk_load(&disk, r).unwrap();
@@ -573,7 +475,6 @@ mod tests {
             reserved,
             &spec,
             &JoinPredicate::intersects(),
-            layout,
             &mut sink,
         )
         .unwrap();
@@ -581,57 +482,50 @@ mod tests {
         (rel.unwrap(), notes, disk.stats())
     }
 
-    fn run_exec(
-        r: &Relation,
-        s: &Relation,
-        num_parts: u64,
-        buffer: u64,
-        reserved: u64,
-    ) -> (Relation, ExecNotes, vtjoin_storage::IoStats) {
-        run_exec_layout(r, s, num_parts, buffer, reserved, Layout::default())
-    }
-
-    fn assert_oracle(n: i64, keys: i64, long_every: i64, parts: u64, buffer: u64) {
+    /// Joins the fixture, checks it against the oracle, and pins the join
+    /// phase's page I/O `(random reads, seq reads, random writes, seq
+    /// writes)`.
+    fn assert_oracle(n: i64, keys: i64, long_every: i64, parts: u64, buffer: u64, io: [u64; 4]) {
         let r = mixed(n, keys, long_every, true);
         let s = mixed(n, keys, long_every, false);
         let want = natural_join(&r, &s).unwrap();
-        let (row, _, _) = run_exec_layout(&r, &s, parts, buffer, 0, Layout::Row);
-        let (col, _, _) = run_exec_layout(&r, &s, parts, buffer, 0, Layout::Columnar);
+        let (got, _, got_io) = run_exec(&r, &s, parts, buffer, 0);
+        let ctx = format!("n={n} keys={keys} ll={long_every} parts={parts} buffer={buffer}");
         assert!(
-            row.multiset_eq(&want),
-            "n={n} keys={keys} ll={long_every} parts={parts} buffer={buffer}: \
-             got {} want {} (diff {} entries)",
-            row.len(),
+            got.multiset_eq(&want),
+            "{ctx}: got {} want {} (diff {} entries)",
+            got.len(),
             want.len(),
-            row.multiset_diff(&want).len()
+            got.multiset_diff(&want).len()
         );
-        assert_eq!(
-            row.tuples(),
-            col.tuples(),
-            "columnar must be byte-identical: n={n} keys={keys} ll={long_every} \
-             parts={parts} buffer={buffer}"
-        );
+        let got_io = [
+            got_io.random_reads,
+            got_io.seq_reads,
+            got_io.random_writes,
+            got_io.seq_writes,
+        ];
+        assert_eq!(got_io, io, "{ctx}: join-phase I/O");
     }
 
     #[test]
     fn matches_oracle_short_tuples() {
-        assert_oracle(150, 5, 0, 4, 16);
+        assert_oracle(150, 5, 0, 4, 16, [8, 38, 0, 0]);
     }
 
     #[test]
     fn matches_oracle_with_long_lived() {
-        assert_oracle(150, 5, 6, 4, 16);
-        assert_oracle(200, 3, 3, 5, 16);
+        assert_oracle(150, 5, 6, 4, 16, [11, 39, 3, 2]);
+        assert_oracle(200, 3, 3, 5, 16, [20, 98, 4, 16]);
     }
 
     #[test]
     fn matches_oracle_single_partition() {
-        assert_oracle(80, 4, 5, 1, 16);
+        assert_oracle(80, 4, 5, 1, 16, [2, 34, 0, 0]);
     }
 
     #[test]
     fn matches_oracle_many_partitions() {
-        assert_oracle(300, 7, 4, 8, 32);
+        assert_oracle(300, 7, 4, 8, 32, [23, 110, 7, 32]);
     }
 
     #[test]
@@ -651,25 +545,12 @@ mod tests {
         for p in ["during", "overlaps", "contains-or-started-by", "equals"] {
             let pred: JoinPredicate = p.parse().unwrap();
             let want = predicate_join(&r, &s, &pred).unwrap();
-            let mut by_layout = Vec::new();
-            for layout in [Layout::Row, Layout::Columnar] {
-                let mut sink = ResultSink::new(Arc::clone(spec.out_schema()), 256, true);
-                let notes =
-                    join_partitions(&rp, &sp, &parts_iv, 16, 0, &spec, &pred, layout, &mut sink)
-                        .unwrap();
-                let (_, _, rel) = sink.finish();
-                let rel = rel.unwrap();
-                assert!(rel.multiset_eq(&want), "{p} ({layout:?})");
-                assert!(notes.filter_checks >= notes.filter_hits, "{p} ({layout:?})");
-                by_layout.push((rel, notes.filter_checks, notes.filter_hits));
-            }
-            let (row, col) = (&by_layout[0], &by_layout[1]);
-            assert_eq!(row.0.tuples(), col.0.tuples(), "{p}: byte-identical");
-            assert_eq!(
-                (row.1, row.2),
-                (col.1, col.2),
-                "{p}: filter counters mirror"
-            );
+            let mut sink = ResultSink::new(Arc::clone(spec.out_schema()), 256, true);
+            let notes =
+                join_partitions(&rp, &sp, &parts_iv, 16, 0, &spec, &pred, &mut sink).unwrap();
+            let (_, _, rel) = sink.finish();
+            assert!(rel.unwrap().multiset_eq(&want), "{p}");
+            assert!(notes.filter_checks >= notes.filter_hits, "{p}");
         }
     }
 
@@ -745,38 +626,34 @@ mod tests {
     }
 
     #[test]
-    fn columnar_mirrors_row_counters_and_io_under_stress() {
+    fn counters_and_io_are_pinned_under_stress() {
         // Long-lived tuples page the cache AND a tiny outer area forces
-        // overflow chunking: the columnar path must keep every CPU
-        // counter, every I/O charge, and the cache accounting identical
-        // to the row path — plus byte-identical output.
+        // overflow chunking: every CPU counter, every I/O charge, and the
+        // cache accounting are pinned, plus the oracle result.
         let r = mixed(300, 4, 5, true);
         let s = mixed(300, 4, 5, false);
-        let (row, row_notes, row_io) = run_exec_layout(&r, &s, 2, 5, 0, Layout::Row);
-        let (col, col_notes, col_io) = run_exec_layout(&r, &s, 2, 5, 0, Layout::Columnar);
-        assert!(row_notes.overflow_chunks > 0, "fixture must overflow");
-        assert!(
-            row_notes.cache_pages_written > 0,
-            "fixture must page the cache"
-        );
-        assert_eq!(row.tuples(), col.tuples());
-        assert_eq!(row_io, col_io, "identical page reads and cache writes");
-        assert_eq!(row_notes.cpu.probes, col_notes.cpu.probes);
-        assert_eq!(row_notes.cpu.match_tests, col_notes.cpu.match_tests);
-        assert_eq!(row_notes.cache_pages_written, col_notes.cache_pages_written);
-        assert_eq!(row_notes.cache_page_reads, col_notes.cache_page_reads);
-        assert_eq!(row_notes.overflow_chunks, col_notes.overflow_chunks);
-        assert_eq!(row_notes.hash_tables, col_notes.hash_tables);
-        assert_eq!(row_notes.batches_flushed, col_notes.batches_flushed);
+        let (got, notes, io) = run_exec(&r, &s, 2, 5, 0);
+        assert!(got.multiset_eq(&natural_join(&r, &s).unwrap()));
         assert_eq!(
-            row_notes.retained_outer_tuples,
-            col_notes.retained_outer_tuples
+            [
+                io.random_reads,
+                io.seq_reads,
+                io.random_writes,
+                io.seq_writes
+            ],
+            [82, 1340, 1, 7],
+            "page reads and cache writes"
         );
-        // The columnar run accounts its own pass.
-        assert!(row_notes.columnar.is_none());
-        let c = col_notes.columnar.expect("columnar accounting");
-        assert_eq!(c.materialized_rows, col.len() as u64);
-        assert!(c.dict_size > 0);
+        assert_eq!((notes.cpu.probes, notes.cpu.match_tests), (9543, 16204));
+        assert_eq!(
+            (notes.cache_pages_written, notes.cache_page_reads),
+            (8, 216)
+        );
+        assert_eq!((notes.overflow_chunks, notes.hash_tables), (51, 53));
+        assert_eq!(notes.batches_flushed, 2);
+        assert_eq!(notes.retained_outer_tuples, 60);
+        assert_eq!(notes.columnar.materialized_rows, got.len() as u64);
+        assert!(notes.columnar.dict_size > 0);
     }
 
     #[test]
@@ -815,7 +692,6 @@ mod tests {
             0,
             &spec,
             &JoinPredicate::intersects(),
-            Layout::default(),
             &mut sink,
         )
         .unwrap();

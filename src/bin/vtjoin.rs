@@ -61,20 +61,19 @@ fn usage() -> String {
      [--duration MAX] [--seed N] [--side outer|inner] -o FILE\n  \
      vtjoin info FILE\n  \
      vtjoin join OUTER INNER [--algorithm nested-loop|sort-merge|partition|time-index|auto] \
-     [--predicate PRED] [--layout row|columnar] [--buffer PAGES] [--ratio N] \
+     [--predicate PRED] [--buffer PAGES] [--ratio N] \
      [--faults PERMILLE] [--fault-seed N] \
      [--retries N] [--explain] [--stats-json FILE] [-o FILE]\n  \
      vtjoin join OUTER INNER --threads N [--partitions N] [--kernel auto|hash|sweep] \
-     [--grid auto|1xN|KxN|<k>xN] [--predicate PRED] [--layout row|columnar] [--explain] \
+     [--grid auto|1xN|KxN|<k>xN] [--predicate PRED] [--explain] \
      [--stats-json FILE] [-o FILE]   (in-memory parallel grid-partition join)\n  \
      vtjoin join OUTER INNER --op left|full|semi|anti|aggregate:count|aggregate:sum:ATTR|\
 aggregate:min:ATTR|aggregate:max:ATTR [--threads N] [--partitions N] [--predicate PRED] \
-     [--layout row|columnar] [--explain] [--stats-json FILE] [-o FILE]   \
+     [--explain] [--stats-json FILE] [-o FILE]   \
      (temporal outer/semi/anti join or aggregation; see docs/OPERATORS.md)\n  \
      vtjoin serve --requests FILE [--concurrency N] [--pool-pages N] [--max-queue N] \
      [--buffer PAGES] [--threads-per-query N] [--kernel auto|hash|sweep] \
-     [--grid auto|1xN|KxN|<k>xN] [--layout row|columnar] \
-     [--priority interactive|batch|background] \
+     [--grid auto|1xN|KxN|<k>xN] [--priority interactive|batch|background] \
      [--deadline-ms MILLIS] [--stream] [--explain] [--stats-json FILE]\n  \
      vtjoin slice FILE --at CHRONON\n  \
      vtjoin coalesce FILE [-o FILE]\n\n\
@@ -95,14 +94,63 @@ struct Flags {
 /// Flags that take no value.
 const BOOL_FLAGS: &[&str] = &["explain", "stream"];
 
+/// Per-subcommand allow-lists (`out` is `-o`): any other `--flag` is a
+/// typed usage error, never a silent no-op.
+const GEN_FLAGS: &[&str] = &[
+    "tuples",
+    "long-lived",
+    "lifespan",
+    "keys",
+    "duration",
+    "pad",
+    "seed",
+    "side",
+    "out",
+];
+const JOIN_FLAGS: &[&str] = &[
+    "algorithm",
+    "predicate",
+    "buffer",
+    "ratio",
+    "faults",
+    "fault-seed",
+    "retries",
+    "explain",
+    "stats-json",
+    "out",
+    "threads",
+    "partitions",
+    "kernel",
+    "grid",
+    "op",
+];
+const SERVE_FLAGS: &[&str] = &[
+    "requests",
+    "concurrency",
+    "pool-pages",
+    "max-queue",
+    "buffer",
+    "threads-per-query",
+    "kernel",
+    "grid",
+    "priority",
+    "deadline-ms",
+    "stream",
+    "explain",
+    "stats-json",
+];
+
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, AnyError> {
+    fn parse(args: &[String], allowed: &[&str]) -> Result<Flags, AnyError> {
         let mut positional = Vec::new();
         let mut named = Vec::new();
         let mut i = 0;
         while i < args.len() {
             let a = &args[i];
             if let Some(name) = a.strip_prefix("--") {
+                if !allowed.contains(&name) {
+                    return Err(format!("unknown flag --{name}\n{}", usage()).into());
+                }
                 if BOOL_FLAGS.contains(&name) {
                     named.push((name.to_owned(), "true".to_owned()));
                     i += 1;
@@ -114,6 +162,9 @@ impl Flags {
                 named.push((name.to_owned(), value.clone()));
                 i += 2;
             } else if a == "-o" {
+                if !allowed.contains(&"out") {
+                    return Err(format!("unknown flag -o\n{}", usage()).into());
+                }
                 let value = args
                     .get(i + 1)
                     .ok_or_else(|| "-o needs a value".to_owned())?;
@@ -166,17 +217,6 @@ fn parse_predicate(flags: &Flags) -> Result<JoinPredicate, AnyError> {
     }
 }
 
-/// `--layout row|columnar` (default: columnar). Both layouts produce
-/// byte-identical results; `row` exists for A/B comparison and as an
-/// escape hatch.
-fn parse_layout(flags: &Flags) -> Result<vtjoin::join::Layout, AnyError> {
-    match flags.get("layout") {
-        None => Ok(vtjoin::join::Layout::default()),
-        Some(l) => vtjoin::join::Layout::parse(l)
-            .ok_or_else(|| format!("--layout must be row|columnar, got `{l}`").into()),
-    }
-}
-
 fn load(path: &str) -> Result<Relation, AnyError> {
     let text =
         std::fs::read_to_string(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
@@ -189,7 +229,7 @@ fn save(rel: &Relation, path: &str) -> Result<(), AnyError> {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), AnyError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, GEN_FLAGS)?;
     let tuples = flags.get_u64("tuples", 1000)?;
     let cfg = GeneratorConfig {
         tuples,
@@ -218,7 +258,7 @@ fn cmd_gen(args: &[String]) -> Result<(), AnyError> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), AnyError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &[])?;
     let path = flags.positional.first().ok_or("info needs a FILE")?;
     let rel = load(path)?;
     println!("schema    {}", rel.schema());
@@ -236,7 +276,7 @@ fn cmd_info(args: &[String]) -> Result<(), AnyError> {
 }
 
 fn cmd_join(args: &[String]) -> Result<(), AnyError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, JOIN_FLAGS)?;
     let [outer_path, inner_path] = flags.positional.as_slice() else {
         return Err("join needs OUTER and INNER files".into());
     };
@@ -265,7 +305,6 @@ fn cmd_join(args: &[String]) -> Result<(), AnyError> {
     let cfg = JoinConfig::with_buffer(buffer)
         .ratio(ratio)
         .predicate(pred)
-        .layout(parse_layout(&flags)?)
         .collecting();
 
     let disk = SharedDisk::new(4096);
@@ -401,25 +440,22 @@ fn join_parallel(
     let spec = vtjoin::join::common::JoinSpec::natural(r.schema(), s.schema())?;
     let plan = plan_grid(&spec, r, s, &intervals, threads, grid).plan;
     // The natural join keeps the forced-kernel surface; a non-natural
-    // predicate routes through the predicate-aware executor (filtered
-    // kernels under the auto gate, or the sort-merge fallback for
-    // sequence/mixed templates, where neither time partitioning nor the
-    // key grid applies).
+    // predicate runs the filtered kernels under the auto gate (or the
+    // merge fallback for sequence/mixed templates, where neither time
+    // partitioning nor the key grid applies).
     let pred = parse_predicate(flags)?;
-    let layout = parse_layout(flags)?;
-    let (result, exec_report) = if pred.is_natural() {
-        vtjoin::engine::grid_execution_report_layout(r, s, &plan, threads, kernel, &pred, layout)?
-    } else {
-        vtjoin::engine::grid_execution_report_layout(
-            r,
-            s,
-            &plan,
-            threads,
-            vtjoin::join::KernelChoice::Auto,
-            &pred,
-            layout,
-        )?
+    let plan = vtjoin::engine::ExecPlan {
+        kernel: if pred.is_natural() {
+            kernel
+        } else {
+            vtjoin::join::KernelChoice::Auto
+        },
+        predicate: pred,
+        ..vtjoin::engine::ExecPlan::new(plan, threads)
     };
+    let mut out = vtjoin::engine::MaterializeSink::default();
+    let exec_report = vtjoin::engine::run(&plan, r, s, &mut out)?;
+    let result = out.into_relation();
 
     if flags.get("explain").is_some() {
         print!("{}", exec_report.render_explain());
@@ -499,7 +535,6 @@ fn join_operator(
     let threads = flags.get_u64("threads", 1)?.max(1) as usize;
     let partitions = flags.get_u64("partitions", (threads as u64 * 4).max(16))?;
     let pred = parse_predicate(flags)?;
-    let layout = parse_layout(flags)?;
     let hull = match (r.lifespan(), s.lifespan()) {
         (Some(a), Some(b)) => {
             Interval::new(a.start().min(b.start()), a.end().max(b.end())).expect("ordered hull")
@@ -527,7 +562,6 @@ fn join_operator(
         &plan.intervals,
         plan.key_buckets as usize,
         threads,
-        layout,
     )?;
 
     if flags.get("explain").is_some() {
@@ -600,7 +634,7 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
     use vtjoin::engine::{Database, JoinService, Priority, ServiceConfig, SubmitOptions};
     use vtjoin::join::partition::GridChoice;
 
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, SERVE_FLAGS)?;
     let requests_path = flags.get("requests").ok_or("serve needs --requests FILE")?;
     let text = std::fs::read_to_string(Path::new(requests_path))
         .map_err(|e| format!("reading {requests_path}: {e}"))?;
@@ -728,7 +762,6 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
     }
     cfg.threads_per_query = threads_per_query as usize;
     cfg.kernel = kernel;
-    cfg.layout = parse_layout(&flags)?;
     let grid_name = flags.get("grid").unwrap_or("auto");
     cfg.grid = GridChoice::parse(grid_name)
         .ok_or_else(|| format!("--grid must be auto|1xN|KxN|<k>xN, got `{grid_name}`"))?;
@@ -868,7 +901,7 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
 }
 
 fn cmd_slice(args: &[String]) -> Result<(), AnyError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &["at"])?;
     let path = flags.positional.first().ok_or("slice needs a FILE")?;
     let at = flags
         .get("at")
@@ -888,7 +921,7 @@ fn cmd_slice(args: &[String]) -> Result<(), AnyError> {
 }
 
 fn cmd_coalesce(args: &[String]) -> Result<(), AnyError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &["out"])?;
     let path = flags.positional.first().ok_or("coalesce needs a FILE")?;
     let rel = load(path)?;
     let out = algebra::coalesce(&rel);

@@ -1,18 +1,24 @@
-//! Columnar ≡ row round-trip: the struct-of-arrays encode → columnar
-//! kernel → late-materialization pipeline must reproduce the row path
-//! **byte-identically** (same tuples, same order, same kernel counters)
-//! across every grammar-nameable predicate and both executors — the grid
-//! executor and the serial partition join. This is the pin for the
-//! `ColumnarSide` contract in `crates/join/src/columnar.rs`.
+//! Columnar round-trip against the algebra oracles: the struct-of-arrays
+//! encode → columnar kernel → late-materialization pipeline must
+//! reproduce the nested-loop oracles of `vtjoin::model::algebra` across
+//! every grammar-nameable predicate and all three executors that run it —
+//! the grid executor, the operator executor, and the serial partition
+//! join — and the partition join's per-phase page I/O is pinned on a
+//! fixed fixture. This is the pin for the `ColumnarSide` contract in
+//! `crates/join/src/columnar.rs`.
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use vtjoin::engine::grid_execution_report_layout;
+use vtjoin::engine::{operator_join, run, ExecPlan, MaterializeSink};
 use vtjoin::join::common::JoinSpec;
 use vtjoin::join::kernel::KernelChoice;
 use vtjoin::join::partition::intervals::equal_width;
 use vtjoin::join::partition::{plan_grid, GridChoice};
-use vtjoin::join::Layout;
+use vtjoin::model::algebra::{
+    antijoin_pred, count_over_time, full_outerjoin_pred, outerjoin_pred, segments_to_relation,
+    semijoin_pred, sum_over_time, JoinSide,
+};
+use vtjoin::model::{AggFunc, Operator};
 use vtjoin::prelude::*;
 use vtjoin::storage::codec::encode;
 
@@ -93,14 +99,56 @@ fn ordered_encoding(rel: &Relation) -> Vec<Vec<u8>> {
     rel.iter().map(encode).collect()
 }
 
+/// The byte image with emission order factored out (the grid executor
+/// emits in cell order, the oracle in nested-loop order).
+fn sorted_encoding(rel: &Relation) -> Vec<Vec<u8>> {
+    let mut bytes = ordered_encoding(rel);
+    bytes.sort();
+    bytes
+}
+
+/// The algebra oracle for one member of the operator family.
+fn operator_oracle(r: &Relation, s: &Relation, op: &Operator, pred: &JoinPredicate) -> Relation {
+    match op {
+        Operator::Left => outerjoin_pred(r, s, JoinSide::Left, pred).unwrap(),
+        Operator::Full => full_outerjoin_pred(r, s, pred).unwrap(),
+        Operator::Semi => semijoin_pred(r, s, pred).unwrap(),
+        Operator::Anti => antijoin_pred(r, s, pred).unwrap(),
+        Operator::Aggregate(AggFunc::Count) => {
+            segments_to_relation(&count_over_time(&predicate_join(r, s, pred).unwrap()))
+        }
+        Operator::Aggregate(AggFunc::Sum(a)) => {
+            segments_to_relation(&sum_over_time(&predicate_join(r, s, pred).unwrap(), a).unwrap())
+        }
+        other => unreachable!("no oracle wired for {other}"),
+    }
+}
+
+/// A fixed duplicate-heavy fixture with long-lived tuples: `n` tuples
+/// over 4 string keys, starts spread over `[0, T_MAX)`, every fifth tuple
+/// long-lived.
+fn fixture(schema: Arc<Schema>, n: i64, salt: i64) -> Relation {
+    let tuples = (0..n)
+        .map(|i| {
+            let start = (i * 37 + salt * 11) % T_MAX;
+            let len = if i % 5 == 0 { 60 } else { (i * salt) % 7 };
+            Tuple::new(
+                vec![Value::from(format!("key{}", (i * salt) % 4)), Value::Int(i)],
+                Interval::from_raw(start, start + len).unwrap(),
+            )
+        })
+        .collect();
+    Relation::from_parts_unchecked(schema, tuples)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Grid executor: for every grammar predicate and forced kernel, the
-    /// columnar layout reproduces the row layout's output bytes, output
-    /// order, and kernel counters.
+    /// result is the oracle multiset, and every partitioned run accounts
+    /// each materialized row in its columnar section.
     #[test]
-    fn grid_executor_row_and_columnar_agree(
+    fn grid_executor_matches_the_oracle(
         r in arb_rel(r_schema(), 4, 60),
         s in arb_rel(s_schema(), 4, 60),
         parts in 1u64..5,
@@ -109,48 +157,44 @@ proptest! {
         let lifespan = Interval::from_raw(0, T_MAX + 40).unwrap();
         let intervals = equal_width(lifespan, parts);
         let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
-        let plan = plan_grid(&spec, &r, &s, &intervals, threads, GridChoice::Fixed(2)).plan;
+        let grid = plan_grid(&spec, &r, &s, &intervals, threads, GridChoice::Fixed(2)).plan;
         for pred_text in GRAMMAR_PREDICATES {
             let pred: JoinPredicate = pred_text.parse().unwrap();
-            for choice in [KernelChoice::Auto, KernelChoice::Sweep, KernelChoice::Hash] {
-                let (row, row_report) = grid_execution_report_layout(
-                    &r, &s, &plan, threads, choice, &pred, Layout::Row,
-                ).unwrap();
-                let (col, col_report) = grid_execution_report_layout(
-                    &r, &s, &plan, threads, choice, &pred, Layout::Columnar,
-                ).unwrap();
+            let want = sorted_encoding(&predicate_join(&r, &s, &pred).unwrap());
+            for kernel in [KernelChoice::Auto, KernelChoice::Sweep, KernelChoice::Hash] {
+                let plan = ExecPlan {
+                    kernel,
+                    predicate: pred,
+                    ..ExecPlan::new(grid.clone(), threads)
+                };
+                let mut out = MaterializeSink::default();
+                let report = run(&plan, &r, &s, &mut out).unwrap();
+                let got = out.into_relation();
                 prop_assert_eq!(
-                    ordered_encoding(&row),
-                    ordered_encoding(&col),
-                    "{pred_text} ({choice:?}): layouts diverged",
+                    sorted_encoding(&got),
+                    want.clone(),
+                    "{pred_text} ({kernel:?}): diverged from the oracle",
                 );
                 prop_assert_eq!(
-                    row_report.kernel, col_report.kernel,
-                    "{pred_text} ({choice:?}): kernel counters diverged",
+                    report.columnar.map(|c| c.materialized_rows),
+                    pred.partitioning_eligible().then_some(got.len() as u64),
+                    "{pred_text} ({kernel:?}): columnar accounting",
                 );
-                // The columnar section accounts for every materialized row.
-                if let Some(c) = col_report.columnar {
-                    prop_assert_eq!(c.materialized_rows, col.len() as u64);
-                }
             }
         }
     }
 
     /// Operator executor: for every non-inner member of the operator
     /// family (outer/semi/anti joins and temporal aggregation) and every
-    /// grammar predicate, the columnar layout — key equality through the
-    /// encoded key dictionary — reproduces the row layout byte-identically,
-    /// with identical dangling/stitch counters.
+    /// grammar predicate, key equality through the encoded key dictionary
+    /// reproduces the algebra oracle byte-identically.
     #[test]
-    fn operator_executor_row_and_columnar_agree(
+    fn operator_executor_matches_the_oracle(
         r in arb_rel(r_schema(), 4, 60),
         s in arb_rel(s_schema(), 4, 60),
         parts in 1u64..5,
         threads in 1usize..3,
     ) {
-        use vtjoin::engine::operator_join;
-        use vtjoin::model::{AggFunc, Operator};
-
         let lifespan = Interval::from_raw(0, T_MAX + 40).unwrap();
         let intervals = equal_width(lifespan, parts);
         let ops = [
@@ -164,20 +208,11 @@ proptest! {
         for pred_text in GRAMMAR_PREDICATES {
             let pred: JoinPredicate = pred_text.parse().unwrap();
             for op in &ops {
-                let (row, row_counters) = operator_join(
-                    &r, &s, op, &pred, &intervals, 2, threads, Layout::Row,
-                ).unwrap();
-                let (col, col_counters) = operator_join(
-                    &r, &s, op, &pred, &intervals, 2, threads, Layout::Columnar,
-                ).unwrap();
+                let (got, _) = operator_join(&r, &s, op, &pred, &intervals, 2, threads).unwrap();
                 prop_assert_eq!(
-                    ordered_encoding(&row),
-                    ordered_encoding(&col),
-                    "{} under {pred_text}: layouts diverged", op,
-                );
-                prop_assert_eq!(
-                    row_counters, col_counters,
-                    "{} under {pred_text}: operator counters diverged", op,
+                    ordered_encoding(&got),
+                    ordered_encoding(&operator_oracle(&r, &s, op, &pred)),
+                    "{} under {pred_text}: diverged from the oracle", op,
                 );
             }
         }
@@ -185,9 +220,9 @@ proptest! {
 
     /// Serial partition join: for every partitioning-eligible grammar
     /// predicate, the columnar intra-partition path (including the paged
-    /// tuple-cache chunks) reproduces the row path byte-identically.
+    /// tuple-cache chunks) reproduces the oracle multiset.
     #[test]
-    fn partition_join_row_and_columnar_agree(
+    fn partition_join_matches_the_oracle(
         r in arb_rel(r_schema(), 4, 60),
         s in arb_rel(s_schema(), 4, 60),
         buffer in 8u64..24,
@@ -200,17 +235,78 @@ proptest! {
             if !pred.partitioning_eligible() {
                 continue; // served by the merge fallback, pinned above
             }
-            let run = |layout: Layout| {
-                let mut cfg = JoinConfig::with_buffer(buffer).collecting().layout(layout);
-                cfg.predicate = pred;
-                let report = PartitionJoin::default().execute(&hr, &hs, &cfg).unwrap();
-                ordered_encoding(report.result.as_ref().unwrap())
-            };
+            let mut cfg = JoinConfig::with_buffer(buffer).collecting();
+            cfg.predicate = pred;
+            let report = PartitionJoin::default().execute(&hr, &hs, &cfg).unwrap();
             prop_assert_eq!(
-                run(Layout::Row),
-                run(Layout::Columnar),
-                "{pred_text}: partition-join layouts diverged",
+                sorted_encoding(report.result.as_ref().unwrap()),
+                sorted_encoding(&predicate_join(&r, &s, &pred).unwrap()),
+                "{pred_text}: partition join diverged from the oracle",
             );
         }
+    }
+}
+
+/// The paper's metric on a fixed disk fixture: the partition join's
+/// per-phase `(random, sequential)` page I/O, pinned as literals for a
+/// partitioned run under a tight buffer, a roomier one, and the
+/// degenerate one-partition case — plus the oracle result.
+#[test]
+fn partition_join_phase_io_is_pinned() {
+    let r = fixture(r_schema(), 150, 3);
+    let s = fixture(s_schema(), 150, 5);
+    let disk = SharedDisk::new(256);
+    let hr = HeapFile::bulk_load(&disk, &r).unwrap();
+    let hs = HeapFile::bulk_load(&disk, &s).unwrap();
+    assert_eq!((hr.pages(), hs.pages()), (22, 22));
+    type Phases = [(&'static str, u64, u64); 3];
+    let cases: [(u64, &str, Phases); 6] = [
+        (
+            12,
+            "intersects",
+            [("plan", 1, 21), ("partition", 51, 45), ("join", 40, 44)],
+        ),
+        (
+            12,
+            "during",
+            [("plan", 1, 21), ("partition", 52, 44), ("join", 40, 44)],
+        ),
+        (
+            24,
+            "intersects",
+            [("plan", 1, 21), ("partition", 14, 77), ("join", 14, 45)],
+        ),
+        (
+            24,
+            "during",
+            [("plan", 1, 21), ("partition", 14, 77), ("join", 14, 45)],
+        ),
+        (
+            64,
+            "intersects",
+            [("plan", 1, 21), ("partition", 0, 0), ("join", 0, 22)],
+        ),
+        (
+            64,
+            "during",
+            [("plan", 1, 21), ("partition", 0, 0), ("join", 0, 22)],
+        ),
+    ];
+    for (buffer, pred_text, want) in cases {
+        let mut cfg = JoinConfig::with_buffer(buffer).collecting();
+        cfg.predicate = pred_text.parse().unwrap();
+        let report = PartitionJoin::default().execute(&hr, &hs, &cfg).unwrap();
+        let got: Vec<(&str, u64, u64)> = report
+            .phases
+            .iter()
+            .map(|p| (p.name, p.io.random(), p.io.sequential()))
+            .collect();
+        assert_eq!(got, want, "buffer {buffer}, {pred_text}");
+        let oracle = predicate_join(&r, &s, &cfg.predicate).unwrap();
+        assert!(report.result.unwrap().multiset_eq(&oracle));
+        assert_eq!(
+            report.result_tuples,
+            if pred_text == "during" { 363 } else { 1128 }
+        );
     }
 }

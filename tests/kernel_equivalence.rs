@@ -1,5 +1,6 @@
-//! Property-based kernel equivalence: the forward-sweep kernel, the
-//! hash kernel, and the nested-loop oracle must agree on every workload
+//! Property-based kernel equivalence: the columnar forward-sweep kernel,
+//! the columnar hash kernel, and the nested-loop oracle must agree on
+//! every workload
 //! — across duplicate ratios (1 key shared by everything up to mostly
 //! distinct keys) and grid-aligned intervals that make boundary-touching
 //! and abutting-but-disjoint pairs common, the closed-interval semantics'
@@ -7,10 +8,14 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use vtjoin::engine::parallel_partition_join_with;
+use vtjoin::engine::{run, ExecPlan, MaterializeSink};
+use vtjoin::join::columnar::{encode_pair, IdBatch};
 use vtjoin::join::common::JoinSpec;
-use vtjoin::join::kernel::{hash_join, sweep_join, KernelChoice, OutputBatch, SweepScratch};
+use vtjoin::join::kernel::{
+    columnar_hash_join, columnar_sweep_join, ColumnarScratch, KernelChoice,
+};
 use vtjoin::join::partition::intervals::equal_width;
+use vtjoin::join::partition::GridPlan;
 use vtjoin::model::algebra::natural_join;
 use vtjoin::prelude::*;
 
@@ -59,22 +64,30 @@ fn arb_rel(schema: Arc<Schema>, keys: i64, n: usize) -> impl Strategy<Value = Re
     })
 }
 
-/// Runs both kernels directly over the same borrowed sides and emit
+/// Runs both kernels directly over the same encoded sides and emit
 /// window, returning `(hash result, sweep result)`.
 fn run_both_kernels(r: &Relation, s: &Relation, emit_within: Interval) -> (Relation, Relation) {
     let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
-    let rr: Vec<&Tuple> = r.iter().collect();
-    let ss: Vec<&Tuple> = s.iter().collect();
-    let mut batch = OutputBatch::new();
+    let enc = encode_pair(&spec, r.iter(), s.iter());
+    let (o, i) = (&enc.outer, &enc.inner);
+    let rr: Vec<u32> = (0..o.len() as u32).collect();
+    let sr: Vec<u32> = (0..i.len() as u32).collect();
+    let pred = JoinPredicate::intersects();
+    let mut scratch = ColumnarScratch::default();
+    let mut batch = IdBatch::new();
+    let materialize = |batch: &mut IdBatch| {
+        let mut tuples = Vec::new();
+        batch.materialize_each(&spec, o, i, |t| tuples.push(t));
+        Relation::from_parts_unchecked(Arc::clone(spec.out_schema()), tuples)
+    };
 
     batch.begin(16);
-    hash_join(&spec, &rr, &ss, emit_within, &mut batch);
-    let hash = Relation::from_parts_unchecked(Arc::clone(spec.out_schema()), batch.take());
+    columnar_hash_join(&pred, o, &rr, i, &sr, emit_within, &mut scratch, &mut batch);
+    let hash = materialize(&mut batch);
 
-    let mut scratch = SweepScratch::default();
     batch.begin(16);
-    sweep_join(&spec, &rr, &ss, emit_within, &mut scratch, &mut batch);
-    let sweep = Relation::from_parts_unchecked(Arc::clone(spec.out_schema()), batch.take());
+    columnar_sweep_join(&pred, o, &rr, i, &sr, emit_within, &mut scratch, &mut batch);
+    let sweep = materialize(&mut batch);
     (hash, sweep)
 }
 
@@ -149,7 +162,13 @@ proptest! {
         let intervals = equal_width(Interval::from_raw(0, T_SPAN).unwrap(), n_parts);
         let expected = natural_join(&r, &s).unwrap();
         for choice in [KernelChoice::Auto, KernelChoice::Hash, KernelChoice::Sweep] {
-            let got = parallel_partition_join_with(&r, &s, &intervals, threads, choice).unwrap();
+            let plan = ExecPlan {
+                kernel: choice,
+                ..ExecPlan::new(GridPlan::time_only(intervals.clone()), threads)
+            };
+            let mut out = MaterializeSink::default();
+            run(&plan, &r, &s, &mut out).unwrap();
+            let got = out.into_relation();
             prop_assert!(
                 got.multiset_eq(&expected),
                 "{}: got {} want {} ({} partitions, {} threads)",
@@ -193,7 +212,8 @@ fn boundary_touching_matches_and_abutting_does_not_in_both_kernels() {
     );
     let (hash, sweep) = run_both_kernels(&r, &s, Interval::ALL);
     assert_eq!(hash.len(), 1);
-    assert!(hash.multiset_eq(&sweep));
+    assert!(hash.multiset_eq(&natural_join(&r, &s).unwrap()));
+    assert!(sweep.multiset_eq(&hash));
     assert_eq!(
         hash.tuples()[0].valid(),
         Interval::from_raw(5, 5).unwrap(),

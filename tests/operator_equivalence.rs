@@ -3,7 +3,7 @@
 //! sweeps, boundary stitching, oracle-order materialization) must be
 //! **byte-identical** to the nested-loop oracles of
 //! `vtjoin::model::algebra` for every operator, every grammar-nameable
-//! predicate, both layouts, and several thread and partition counts —
+//! predicate, and several thread and partition counts —
 //! plus the algebraic invariant that semijoin and antijoin *partition*
 //! every input interval.
 
@@ -11,7 +11,6 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use vtjoin::engine::operator_join;
 use vtjoin::join::partition::intervals::equal_width;
-use vtjoin::join::Layout;
 use vtjoin::model::algebra::{
     antijoin_pred, count_over_time, extremum_over_time, full_outerjoin_pred, outerjoin_pred,
     predicate_join, segments_to_relation, semijoin_pred, sum_over_time, Extremum, JoinSide,
@@ -123,8 +122,8 @@ fn merged(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Every operator × every grammar predicate × both layouts × thread
-    /// counts 1/2/4 × several partition counts: the production executor
+    /// Every operator × every grammar predicate × thread counts 1/2/4 ×
+    /// several partition counts: the production executor
     /// reproduces the algebra oracle byte-for-byte.
     #[test]
     fn operators_match_oracles_bytewise(
@@ -148,23 +147,21 @@ proptest! {
             ];
             for (op, want) in &oracles {
                 for threads in [1usize, 2, 4] {
-                    for layout in [Layout::Row, Layout::Columnar] {
-                        let (got, counters) = operator_join(
-                            &r, &s, op, &pred, &intervals, 2, threads, layout,
-                        ).unwrap();
-                        prop_assert_eq!(
-                            ordered_encoding(&got),
-                            ordered_encoding(want),
-                            "{} under {pred_text} (threads={threads}, {layout:?}, \
-                             parts={parts}): diverged from the oracle",
-                            op,
-                        );
-                        prop_assert_eq!(
-                            counters.fallback_nested,
-                            !pred.partitioning_eligible(),
-                            "{} under {pred_text}: wrong execution path", op,
-                        );
-                    }
+                    let (got, counters) = operator_join(
+                        &r, &s, op, &pred, &intervals, 2, threads,
+                    ).unwrap();
+                    prop_assert_eq!(
+                        ordered_encoding(&got),
+                        ordered_encoding(want),
+                        "{} under {pred_text} (threads={threads}, \
+                         parts={parts}): diverged from the oracle",
+                        op,
+                    );
+                    prop_assert_eq!(
+                        counters.fallback_nested,
+                        !pred.partitioning_eligible(),
+                        "{} under {pred_text}: wrong execution path", op,
+                    );
                 }
             }
         }
@@ -185,10 +182,10 @@ proptest! {
         for pred_text in ["intersects", "during", "before-within-7", "meets-or-met-by"] {
             let pred: JoinPredicate = pred_text.parse().unwrap();
             let (semi, _) = operator_join(
-                &r, &s, &Operator::Semi, &pred, &intervals, 2, threads, Layout::Columnar,
+                &r, &s, &Operator::Semi, &pred, &intervals, 2, threads,
             ).unwrap();
             let (anti, _) = operator_join(
-                &r, &s, &Operator::Anti, &pred, &intervals, 2, threads, Layout::Columnar,
+                &r, &s, &Operator::Anti, &pred, &intervals, 2, threads,
             ).unwrap();
             let union = Relation::from_parts_unchecked(
                 Arc::clone(r.schema()),
@@ -241,7 +238,7 @@ proptest! {
         for (f, want) in &cases {
             let op = Operator::Aggregate(f.clone());
             let (got, counters) = operator_join(
-                &r, &s, &op, &pred, &intervals, 2, threads, Layout::Row,
+                &r, &s, &op, &pred, &intervals, 2, threads,
             ).unwrap();
             prop_assert_eq!(
                 ordered_encoding(&got),

@@ -14,9 +14,10 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use vtjoin::engine::parallel_partition_join_pred;
 use vtjoin::engine::planner::run_join;
+use vtjoin::engine::{run, ExecPlan, MaterializeSink};
 use vtjoin::join::partition::intervals::equal_width;
+use vtjoin::join::partition::GridPlan;
 use vtjoin::model::PredicateTemplate;
 use vtjoin::prelude::*;
 
@@ -96,7 +97,13 @@ proptest! {
         let intervals = equal_width(Interval::from_raw(0, T_SPAN).unwrap(), n_parts);
         for pred in grid_predicates() {
             let expected = predicate_join(&r, &s, &pred).unwrap();
-            let got = parallel_partition_join_pred(&r, &s, &intervals, threads, &pred).unwrap();
+            let plan = ExecPlan {
+                predicate: pred,
+                ..ExecPlan::new(GridPlan::time_only(intervals.clone()), threads)
+            };
+            let mut out = MaterializeSink::default();
+            run(&plan, &r, &s, &mut out).unwrap();
+            let got = out.into_relation();
             prop_assert!(
                 got.multiset_eq(&expected),
                 "{pred}: got {} want {} ({n_parts} partitions, {threads} threads)",

@@ -51,6 +51,10 @@ fn sorted_encoding(rel: &Relation) -> Vec<Vec<u8>> {
 }
 
 fn service_with(pairs: &[(&str, u64, bool)]) -> JoinService {
+    service_with_threads(pairs, 2)
+}
+
+fn service_with_threads(pairs: &[(&str, u64, bool)], threads_per_query: usize) -> JoinService {
     let mut db = Database::new(1024);
     for (name, tuples, outer) in pairs {
         let seed = 0x5EED ^ (*tuples << 1) ^ u64::from(*outer);
@@ -58,7 +62,7 @@ fn service_with(pairs: &[(&str, u64, bool)]) -> JoinService {
             .unwrap();
     }
     let mut cfg = ServiceConfig::new(JoinConfig::with_buffer(16).seed(7), 16_384);
-    cfg.threads_per_query = 2;
+    cfg.threads_per_query = threads_per_query;
     JoinService::new(db, cfg)
 }
 
@@ -138,24 +142,30 @@ fn reserved_pages_charge_inputs_plus_join_buffer() {
 }
 
 /// Streaming delivers the same bytes as materialized execution: the
-/// concatenated batches are the response, in deterministic order.
+/// concatenated batches are the response, in deterministic order — at 1
+/// and 2 threads, for an intersection predicate on the grid path and a
+/// sequence predicate (`before`) on the merge fallback.
 #[test]
 fn streamed_submission_concatenates_to_the_materialized_result() {
-    let svc = service_with(&[("r", 2_000, true), ("s", 2_000, false)]);
-    let materialized = svc.submit("r", "s").unwrap();
-    let mut streamed_tuples = Vec::new();
-    let mut sink = |batch: Vec<Tuple>| streamed_tuples.extend(batch);
-    let resp = svc
-        .submit_streamed(
-            "r",
-            "s",
-            &JoinPredicate::intersects(),
-            &SubmitOptions::default(),
-            &mut sink,
-        )
-        .unwrap();
-    assert_eq!(resp.tuples as usize, streamed_tuples.len());
-    assert_eq!(materialized.result.tuples(), &streamed_tuples[..]);
+    for threads in [1usize, 2] {
+        let svc = service_with_threads(&[("r", 2_000, true), ("s", 2_000, false)], threads);
+        for pred in ["intersects", "during", "before"] {
+            let pred: JoinPredicate = pred.parse().unwrap();
+            let opts = SubmitOptions::default();
+            let materialized = svc.submit_opts("r", "s", &pred, &opts).unwrap();
+            let mut streamed_tuples = Vec::new();
+            let mut sink = |batch: Vec<Tuple>| streamed_tuples.extend(batch);
+            let resp = svc
+                .submit_streamed("r", "s", &pred, &opts, &mut sink)
+                .unwrap();
+            assert_eq!(resp.tuples as usize, streamed_tuples.len());
+            assert_eq!(
+                materialized.result.tuples(),
+                &streamed_tuples[..],
+                "{pred} at {threads} threads"
+            );
+        }
+    }
 }
 
 /// Typed shedding outcomes: a held pool sheds background requests with
