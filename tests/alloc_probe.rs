@@ -5,6 +5,11 @@
 //! table allocated a key vector on *every* probe; the hash-bucket table
 //! must allocate only when a genuine match splices a result tuple.
 //!
+//! The same count pins the text reader's budget: `from_text` of an N-row
+//! relation of ints and empty bytes allocates once per row (the row's
+//! values) plus a bounded number of times for the tuple vector, schema
+//! and header — not once more per row for its fields.
+//!
 //! This lives in its own integration-test binary so the global allocator
 //! hook cannot interfere with any other test, and the single `#[test]`
 //! keeps the process free of concurrent allocator traffic.
@@ -14,6 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vtjoin::join::common::{BlockTable, JoinSpec};
 use vtjoin::prelude::*;
+use vtjoin::workload::{from_text, to_text};
 
 struct CountingAlloc;
 
@@ -107,4 +113,30 @@ fn probe_path_is_allocation_free() {
     let (probes, tests) = table.cpu_counters();
     assert_eq!(probes, 1001);
     assert!(tests > 0);
+
+    // The text reader: one allocation per row, plus at most 64 in all.
+    const ROWS: u64 = 10_000;
+    let pad = Schema::new(vec![
+        AttrDef::new("k", AttrType::Int),
+        AttrDef::new("pad", AttrType::Bytes(0)),
+    ])
+    .unwrap()
+    .into_shared();
+    let rows = (0..ROWS as i64)
+        .map(|i| {
+            Tuple::new(
+                vec![Value::Int(i * 7919 - 40_000), Value::Bytes(Box::default())],
+                Interval::from_raw(i, i + 100).unwrap(),
+            )
+        })
+        .collect();
+    let text = to_text(&Relation::new(pad, rows).unwrap());
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let parsed = from_text(&text).unwrap();
+    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(parsed.len() as u64, ROWS);
+    assert!(
+        delta <= ROWS + 64,
+        "from_text made {delta} allocations for {ROWS} rows"
+    );
 }

@@ -1,7 +1,7 @@
 //! The `vtjoin` CLI's flag parser: every subcommand takes only the flags
 //! it documents. An unknown or removed flag is a typed usage error naming
 //! the flag — never a silent no-op — and every flag `vtjoin help` prints
-//! still parses.
+//! still parses. Malformed input files are typed errors, not panics.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -66,4 +66,21 @@ fn every_flag_in_the_usage_parses() {
         }
     }
     assert!(checked > 30, "usage parsing found only {checked} flags");
+}
+
+#[test]
+fn malformed_bytes_field_is_a_parse_error_not_a_panic() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, field) in [("multibyte.vt", "€x"), ("signed.vt", "+f")] {
+        std::fs::write(
+            dir.join(name),
+            format!("# vtjoin v1\n# schema: key:int, pad:bytes\n1|{field}|0|1\n"),
+        )
+        .unwrap();
+        let out = vtjoin(&["join", name, name]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{name}: {err}");
+        assert!(err.contains("parse error"), "{name}: {err}");
+    }
 }
