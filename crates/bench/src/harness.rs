@@ -9,7 +9,10 @@ use vtjoin_join::{
 use vtjoin_obs::json::obj;
 use vtjoin_obs::{ExecutionReport, Json};
 use vtjoin_storage::{CostRatio, HeapFile, SharedDisk};
-use vtjoin_workload::generate::{generate_heap, inner_schema, outer_schema, GeneratorConfig};
+use vtjoin_workload::generate::{
+    generate, generate_heap, inner_schema, outer_schema, DurationDistribution, GeneratorConfig,
+    KeyDistribution, TimeDistribution,
+};
 use vtjoin_workload::PaperParams;
 
 /// Experiment scale.
@@ -145,6 +148,52 @@ pub fn build_pair(
     let cfg_s = cfg.seed(seed ^ 0xabcd_ef01);
     let hs = generate_heap(&disk, inner_schema(pad), &cfg_s).expect("load inner");
     (disk, hr, hs)
+}
+
+/// The generator the in-memory benchmarks start from: uniform keys,
+/// start chronons in three clustered bursts (very unequal partition
+/// populations under equal-width partitioning), short-lived durations
+/// uniform in `[1, max_duration]`, no padding. Benchmarks override a
+/// field with struct-update syntax where their workload differs.
+pub fn clustered_generator(
+    tuples: u64,
+    long_lived: u64,
+    keys: u64,
+    lifespan: i64,
+    max_duration: i64,
+    seed: u64,
+) -> GeneratorConfig {
+    GeneratorConfig {
+        tuples,
+        long_lived,
+        lifespan,
+        keys,
+        key_dist: KeyDistribution::Uniform,
+        time_dist: TimeDistribution::Clustered(3),
+        duration_dist: DurationDistribution::UniformUpTo(max_duration.max(1)),
+        pad_bytes: 0,
+        seed,
+    }
+}
+
+/// The outer/inner relation pair of an in-memory benchmark: the outer
+/// side generated from `g`, the inner side from `g` reseeded with
+/// `g.seed ^ 0xabcd`.
+pub fn generated_pair(g: &GeneratorConfig) -> (Relation, Relation) {
+    let inner = g.clone().seed(g.seed ^ 0xabcd);
+    (
+        generate(outer_schema(g.pad_bytes), g),
+        generate(inner_schema(g.pad_bytes), &inner),
+    )
+}
+
+/// The order-independent byte image of a result relation: every tuple's
+/// storage-codec encoding, sorted. Two relations are byte-identical in
+/// the benchmarks' acceptance sense iff these compare equal.
+pub fn sorted_encoding(rel: &Relation) -> Vec<Vec<u8>> {
+    let mut bytes: Vec<Vec<u8>> = rel.iter().map(vtjoin_storage::codec::encode).collect();
+    bytes.sort_unstable();
+    bytes
 }
 
 /// Runs the in-memory executor on `plan`, materialized; panics on a join

@@ -1,7 +1,7 @@
 //! Kernel benchmark: forced-hash vs forced-sweep intra-partition join on
-//! the duplicate-heavy clustered workload, at a fixed thread count. The
-//! `bench_kernel` binary runs this and writes `BENCH_kernel.json` at the
-//! repo root — the perf evidence that the sweep kernel earns its place
+//! the duplicate-heavy clustered workload, at a fixed thread count. `bench
+//! kernel` runs this and writes `BENCH_kernel.json` at the repo root —
+//! the perf evidence that the sweep kernel earns its place
 //! (and that the cost-model gate is pointing the right way).
 //!
 //! Both kernels must produce **byte-identical result relations** (same
@@ -14,7 +14,8 @@
 //! subset); ratios are fixed-point ×100 (`speedup_x100_sweep_vs_hash =
 //! 250` means the sweep kernel is 2.50× faster).
 
-use crate::harness::run_materialized;
+use crate::harness::{clustered_generator, generated_pair, run_materialized, sorted_encoding};
+use crate::regress::{check_envelope, require_ints};
 use std::time::Instant;
 use vtjoin_core::{Interval, Relation};
 use vtjoin_engine::ExecPlan;
@@ -23,10 +24,6 @@ use vtjoin_join::partition::intervals::equal_width;
 use vtjoin_join::partition::GridPlan;
 use vtjoin_obs::json::obj;
 use vtjoin_obs::Json;
-use vtjoin_workload::generate::{
-    generate, inner_schema, outer_schema, DurationDistribution, GeneratorConfig, KeyDistribution,
-    TimeDistribution,
-};
 
 /// Version stamped into `BENCH_kernel.json` as `schema_version`;
 /// [`validate`] rejects other versions.
@@ -103,35 +100,14 @@ pub fn smoke_config() -> KernelBenchConfig {
 /// so each key has hundreds of duplicates of which only the concurrently
 /// open ones join — the regime the kernel gate routes to the sweep.
 pub fn workload_pair(cfg: &KernelBenchConfig) -> (Relation, Relation) {
-    let gen = |seed: u64, outer: bool| {
-        let g = GeneratorConfig {
-            tuples: cfg.tuples,
-            long_lived: cfg.long_lived,
-            lifespan: cfg.lifespan,
-            keys: cfg.keys,
-            key_dist: KeyDistribution::Uniform,
-            time_dist: TimeDistribution::Clustered(3),
-            duration_dist: DurationDistribution::UniformUpTo(cfg.max_duration.max(1)),
-            pad_bytes: 0,
-            seed,
-        };
-        let schema = if outer {
-            outer_schema(0)
-        } else {
-            inner_schema(0)
-        };
-        generate(schema, &g)
-    };
-    (gen(cfg.seed, true), gen(cfg.seed ^ 0xabcd, false))
-}
-
-/// The order-independent byte image of a result relation: every tuple's
-/// storage-codec encoding, sorted. Two relations are byte-identical in
-/// the acceptance sense iff these compare equal.
-fn sorted_encoding(rel: &Relation) -> Vec<Vec<u8>> {
-    let mut bytes: Vec<Vec<u8>> = rel.iter().map(vtjoin_storage::codec::encode).collect();
-    bytes.sort_unstable();
-    bytes
+    generated_pair(&clustered_generator(
+        cfg.tuples,
+        cfg.long_lived,
+        cfg.keys,
+        cfg.lifespan,
+        cfg.max_duration,
+        cfg.seed,
+    ))
 }
 
 /// Runs the benchmark and returns the `BENCH_kernel.json` document.
@@ -203,41 +179,24 @@ pub fn run(cfg: &KernelBenchConfig) -> Json {
     ])
 }
 
-/// Validates a `BENCH_kernel.json` document: schema version, benchmark
-/// name, workload fields, exactly one hash and one sweep entry, equal
-/// per-kernel cardinalities, and a passing byte-identity check. Used by
-/// `bench_kernel --validate` and the CI smoke step.
+/// Validates a `BENCH_kernel.json` document: the shared envelope, exactly
+/// one hash and one sweep entry, equal per-kernel cardinalities, and a
+/// passing byte-identity check.
 pub fn validate(doc: &Json) -> Result<(), String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_i64)
-        .ok_or("missing schema_version")?;
-    if version != BENCH_SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version}, expected {BENCH_SCHEMA_VERSION}"
-        ));
-    }
-    match doc.get("benchmark").and_then(Json::as_str) {
-        Some("kernel-hash-vs-sweep") => {}
-        other => return Err(format!("unexpected benchmark field {other:?}")),
-    }
-    let workload = doc.get("workload").ok_or("missing workload")?;
-    for key in [
-        "tuples_per_side",
-        "keys",
-        "max_duration",
-        "partitions",
-        "threads",
-        "seed",
-    ] {
-        workload
-            .get(key)
-            .and_then(Json::as_i64)
-            .ok_or_else(|| format!("missing workload.{key}"))?;
-    }
-    doc.get("speedup_x100_sweep_vs_hash")
-        .and_then(Json::as_i64)
-        .ok_or("missing speedup_x100_sweep_vs_hash")?;
+    check_envelope(
+        doc,
+        BENCH_SCHEMA_VERSION,
+        "kernel-hash-vs-sweep",
+        &[
+            "tuples_per_side",
+            "keys",
+            "max_duration",
+            "partitions",
+            "threads",
+            "seed",
+        ],
+    )?;
+    require_ints(doc, "$", &["speedup_x100_sweep_vs_hash"])?;
     match doc.get("results_byte_identical").and_then(Json::as_i64) {
         Some(1) => {}
         Some(_) => return Err("kernels produced different result relations".into()),
@@ -253,23 +212,22 @@ pub fn validate(doc: &Json) -> Result<(), String> {
             kernels.len()
         ));
     }
-    let mut cardinalities = Vec::new();
     for (i, k) in kernels.iter().enumerate() {
-        k.get("kernel")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("missing kernels[{i}].kernel"))?;
-        for key in [
-            "wall_micros",
-            "result_tuples",
-            "hash_partitions",
-            "sweep_partitions",
-        ] {
-            k.get(key)
-                .and_then(Json::as_i64)
-                .ok_or_else(|| format!("missing kernels[{i}].{key}"))?;
-        }
-        cardinalities.push(k.get("result_tuples").and_then(Json::as_i64).unwrap_or(-1));
+        require_ints(
+            k,
+            &format!("kernels[{i}]"),
+            &[
+                "wall_micros",
+                "result_tuples",
+                "hash_partitions",
+                "sweep_partitions",
+            ],
+        )?;
     }
+    let cardinalities: Vec<i64> = kernels
+        .iter()
+        .filter_map(|k| k.get("result_tuples").and_then(Json::as_i64))
+        .collect();
     let names: Vec<&str> = kernels
         .iter()
         .filter_map(|k| k.get("kernel").and_then(Json::as_str))

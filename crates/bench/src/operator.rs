@@ -12,6 +12,8 @@
 //! [`crate::regress`] comparator exactly like the other benchmarks;
 //! wall-clock fields are denylisted there as usual.
 
+use crate::harness::{clustered_generator, generated_pair};
+use crate::regress::{check_envelope, require_ints};
 use std::time::Instant;
 use vtjoin_core::algebra::{
     antijoin_pred, count_over_time, extremum_over_time, full_outerjoin_pred, outerjoin_pred,
@@ -22,10 +24,6 @@ use vtjoin_engine::operator_join;
 use vtjoin_join::partition::intervals::equal_width;
 use vtjoin_obs::json::obj;
 use vtjoin_obs::Json;
-use vtjoin_workload::generate::{
-    generate, inner_schema, outer_schema, DurationDistribution, GeneratorConfig, KeyDistribution,
-    TimeDistribution,
-};
 
 /// Version stamped into `BENCH_operator.json` as `schema_version`;
 /// [`validate`] rejects other versions.
@@ -112,30 +110,14 @@ pub fn smoke_config() -> OperatorBenchConfig {
 /// same-key pairs produce matched windows, partial overlaps, and fully
 /// dangling tuples alike.
 pub fn workload_pair(cfg: &OperatorBenchConfig, ratio: u64) -> (Relation, Relation) {
-    let keys = (cfg.tuples / ratio.max(1)).max(1);
-    let gen = |seed: u64, outer: bool| {
-        let g = GeneratorConfig {
-            tuples: cfg.tuples,
-            long_lived: cfg.long_lived,
-            lifespan: cfg.lifespan,
-            keys,
-            key_dist: KeyDistribution::Uniform,
-            time_dist: TimeDistribution::Clustered(3),
-            duration_dist: DurationDistribution::UniformUpTo(cfg.max_duration.max(1)),
-            pad_bytes: 0,
-            seed,
-        };
-        let schema = if outer {
-            outer_schema(0)
-        } else {
-            inner_schema(0)
-        };
-        generate(schema, &g)
-    };
-    (
-        gen(cfg.seed ^ ratio, true),
-        gen(cfg.seed ^ ratio ^ 0xabcd, false),
-    )
+    generated_pair(&clustered_generator(
+        cfg.tuples,
+        cfg.long_lived,
+        (cfg.tuples / ratio.max(1)).max(1),
+        cfg.lifespan,
+        cfg.max_duration,
+        cfg.seed ^ ratio,
+    ))
 }
 
 /// The **ordered** byte image of a result relation: the operator
@@ -257,41 +239,26 @@ pub fn run(cfg: &OperatorBenchConfig) -> Json {
     ])
 }
 
-/// Validates a `BENCH_operator.json` document: schema version, benchmark
-/// name, workload fields, a non-empty cell grid whose cells each carry
-/// the full counter set, every operator a parseable [`Operator`] with
-/// all four non-inner joins and at least one aggregate represented, and
-/// a passing oracle byte-identity check in **every** cell. Used by
-/// `bench_operator --validate` and the CI smoke step.
+/// Validates a `BENCH_operator.json` document: the shared envelope, a
+/// non-empty cell grid whose cells each carry the full counter set, every
+/// operator a parseable [`Operator`] with all four non-inner joins and at
+/// least one aggregate represented, and a passing oracle byte-identity
+/// check in **every** cell.
 pub fn validate(doc: &Json) -> Result<(), String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_i64)
-        .ok_or("missing schema_version")?;
-    if version != BENCH_SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version}, expected {BENCH_SCHEMA_VERSION}"
-        ));
-    }
-    match doc.get("benchmark").and_then(Json::as_str) {
-        Some("operator-grid") => {}
-        other => return Err(format!("unexpected benchmark field {other:?}")),
-    }
-    let workload = doc.get("workload").ok_or("missing workload")?;
-    for key in [
-        "tuples_per_side",
-        "lifespan",
-        "max_duration",
-        "partitions",
-        "key_buckets",
-        "threads",
-        "seed",
-    ] {
-        workload
-            .get(key)
-            .and_then(Json::as_i64)
-            .ok_or_else(|| format!("missing workload.{key}"))?;
-    }
+    check_envelope(
+        doc,
+        BENCH_SCHEMA_VERSION,
+        "operator-grid",
+        &[
+            "tuples_per_side",
+            "lifespan",
+            "max_duration",
+            "partitions",
+            "key_buckets",
+            "threads",
+            "seed",
+        ],
+    )?;
     match doc.get("all_oracle_identical").and_then(Json::as_i64) {
         Some(1) => {}
         Some(_) => return Err("some cell diverged from the algebra oracle".into()),
@@ -319,28 +286,28 @@ pub fn validate(doc: &Json) -> Result<(), String> {
         } else {
             ops_seen.insert(name.to_owned());
         }
-        for key in [
-            "duplicates_per_key",
-            "keys",
-            "result_tuples",
-            "wall_micros",
-            "cells_run",
-            "pairs_logged",
-            "outer_fragments",
-            "inner_fragments",
-            "stitched_outer",
-            "stitched_inner",
-            "outer_dangling",
-            "inner_dangling",
-            "timeline_events",
-            "timeline_checkpoints",
-            "agg_segments",
-            "fallback_nested",
-        ] {
-            c.get(key)
-                .and_then(Json::as_i64)
-                .ok_or_else(|| format!("missing cells[{i}].{key}"))?;
-        }
+        require_ints(
+            c,
+            &format!("cells[{i}]"),
+            &[
+                "duplicates_per_key",
+                "keys",
+                "result_tuples",
+                "wall_micros",
+                "cells_run",
+                "pairs_logged",
+                "outer_fragments",
+                "inner_fragments",
+                "stitched_outer",
+                "stitched_inner",
+                "outer_dangling",
+                "inner_dangling",
+                "timeline_events",
+                "timeline_checkpoints",
+                "agg_segments",
+                "fallback_nested",
+            ],
+        )?;
         match c.get("oracle_identical").and_then(Json::as_i64) {
             Some(1) => {}
             Some(_) => {

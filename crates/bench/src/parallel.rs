@@ -4,16 +4,15 @@
 //! workload — plus a **grid-vs-time-only** comparison: the same workload
 //! joined over a K×N (key × time) grid, with the structural claims (max
 //! cell share, byte-identity across thread counts) emitted as
-//! deterministic counters the CI regression gate can pin. The
-//! `bench_parallel` binary runs this and writes `BENCH_parallel.json` at
-//! the repo root — the perf baseline future PRs measure regressions and
-//! wins against.
+//! deterministic counters the CI regression gate can pin. `bench
+//! parallel` runs this and writes `BENCH_parallel.json` at the repo root.
 //!
 //! Everything in the emitted document is an integer (the repo's JSON
 //! subset); ratios are fixed-point ×100 (`speedup_x100 = 250` means
 //! 2.50×).
 
-use crate::harness::run_materialized;
+use crate::harness::{clustered_generator, generated_pair, run_materialized};
+use crate::regress::{check_envelope, require_ints};
 use std::time::Instant;
 use vtjoin_core::{Interval, Relation};
 use vtjoin_engine::{parallel_partition_join_naive, ExecPlan};
@@ -22,10 +21,7 @@ use vtjoin_join::partition::intervals::{equal_width, replica_range};
 use vtjoin_join::partition::{plan_grid, GridChoice, GridPlan};
 use vtjoin_obs::json::obj;
 use vtjoin_obs::Json;
-use vtjoin_workload::generate::{
-    generate, inner_schema, outer_schema, DurationDistribution, GeneratorConfig, KeyDistribution,
-    TimeDistribution,
-};
+use vtjoin_workload::generate::{GeneratorConfig, KeyDistribution};
 
 /// Version stamped into `BENCH_parallel.json` as `schema_version`;
 /// [`validate`] rejects other versions. Version 2 added the `grid`
@@ -114,30 +110,21 @@ pub fn smoke_config() -> ParallelBenchConfig {
 /// replicated across many partitions, with optional Zipf key skew
 /// (`cfg.zipf_x100`, the workload knob the grid's key axis answers).
 pub fn skewed_pair(cfg: &ParallelBenchConfig) -> (Relation, Relation) {
-    let gen = |seed: u64, outer: bool| {
-        let g = GeneratorConfig {
-            tuples: cfg.tuples,
-            long_lived: cfg.long_lived,
-            lifespan: cfg.lifespan,
-            keys: cfg.keys,
-            key_dist: if cfg.zipf_x100 == 0 {
-                KeyDistribution::Uniform
-            } else {
-                KeyDistribution::Zipf(cfg.zipf_x100 as f64 / 100.0)
-            },
-            time_dist: TimeDistribution::Clustered(3),
-            duration_dist: DurationDistribution::UniformUpTo((cfg.lifespan / 64).max(1)),
-            pad_bytes: 0,
-            seed,
-        };
-        let schema = if outer {
-            outer_schema(0)
+    generated_pair(&GeneratorConfig {
+        key_dist: if cfg.zipf_x100 == 0 {
+            KeyDistribution::Uniform
         } else {
-            inner_schema(0)
-        };
-        generate(schema, &g)
-    };
-    (gen(cfg.seed, true), gen(cfg.seed ^ 0xabcd, false))
+            KeyDistribution::Zipf(cfg.zipf_x100 as f64 / 100.0)
+        },
+        ..clustered_generator(
+            cfg.tuples,
+            cfg.long_lived,
+            cfg.keys,
+            cfg.lifespan,
+            cfg.lifespan / 64,
+            cfg.seed,
+        )
+    })
 }
 
 /// Runs the benchmark and returns the `BENCH_parallel.json` document.
@@ -341,36 +328,17 @@ pub fn run(cfg: &ParallelBenchConfig) -> Json {
     obj(pairs)
 }
 
-/// Validates a `BENCH_parallel.json` document: schema version, benchmark
-/// name, workload fields, and a non-empty run list with the per-run
-/// fields. Used by `bench_parallel --validate` and the CI smoke step.
+/// Validates a `BENCH_parallel.json` document: the shared envelope, a
+/// non-empty run list with the per-run fields, the naive-baseline
+/// section when present, and the grid section's acceptance gates.
 pub fn validate(doc: &Json) -> Result<(), String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_i64)
-        .ok_or("missing schema_version")?;
-    if version != BENCH_SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version}, expected {BENCH_SCHEMA_VERSION}"
-        ));
-    }
-    match doc.get("benchmark").and_then(Json::as_str) {
-        Some("parallel-partition-join") => {}
-        other => return Err(format!("unexpected benchmark field {other:?}")),
-    }
-    let workload = doc.get("workload").ok_or("missing workload")?;
-    for key in ["tuples_per_side", "partitions", "seed"] {
-        workload
-            .get(key)
-            .and_then(Json::as_i64)
-            .ok_or_else(|| format!("missing workload.{key}"))?;
-    }
-    doc.get("result_tuples")
-        .and_then(Json::as_i64)
-        .ok_or("missing result_tuples")?;
-    doc.get("max_partition_share_percent")
-        .and_then(Json::as_i64)
-        .ok_or("missing max_partition_share_percent")?;
+    check_envelope(
+        doc,
+        BENCH_SCHEMA_VERSION,
+        "parallel-partition-join",
+        &["tuples_per_side", "partitions", "seed"],
+    )?;
+    require_ints(doc, "$", &["result_tuples", "max_partition_share_percent"])?;
     let runs = doc
         .get("runs")
         .and_then(Json::as_arr)
@@ -379,23 +347,23 @@ pub fn validate(doc: &Json) -> Result<(), String> {
         return Err("runs array is empty".into());
     }
     for (i, run) in runs.iter().enumerate() {
-        for key in ["threads", "wall_micros", "utilization_percent"] {
-            run.get(key)
-                .and_then(Json::as_i64)
-                .ok_or_else(|| format!("missing runs[{i}].{key}"))?;
-        }
+        require_ints(
+            run,
+            &format!("runs[{i}]"),
+            &["threads", "wall_micros", "utilization_percent"],
+        )?;
     }
     if let Some(base) = doc.get("baseline") {
-        for key in [
-            "threads",
-            "wall_micros",
-            "new_executor_wall_micros",
-            "speedup_x100",
-        ] {
-            base.get(key)
-                .and_then(Json::as_i64)
-                .ok_or_else(|| format!("missing baseline.{key}"))?;
-        }
+        require_ints(
+            base,
+            "baseline",
+            &[
+                "threads",
+                "wall_micros",
+                "new_executor_wall_micros",
+                "speedup_x100",
+            ],
+        )?;
     }
 
     // The grid section carries the acceptance claims as counters; the
@@ -442,11 +410,11 @@ pub fn validate(doc: &Json) -> Result<(), String> {
         return Err("grid.runs array is empty".into());
     }
     for (i, run) in grid_runs.iter().enumerate() {
-        for key in ["threads", "grid_wall_micros", "time_only_wall_micros"] {
-            run.get(key)
-                .and_then(Json::as_i64)
-                .ok_or_else(|| format!("missing grid.runs[{i}].{key}"))?;
-        }
+        require_ints(
+            run,
+            &format!("grid.runs[{i}]"),
+            &["threads", "grid_wall_micros", "time_only_wall_micros"],
+        )?;
     }
     Ok(())
 }

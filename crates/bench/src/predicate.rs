@@ -11,7 +11,8 @@
 //! the [`crate::regress`] comparator exactly like the other benchmarks;
 //! wall-clock fields are denylisted there as usual.
 
-use crate::harness::run_materialized;
+use crate::harness::{clustered_generator, generated_pair, run_materialized, sorted_encoding};
+use crate::regress::{check_envelope, require_ints};
 use std::time::Instant;
 use vtjoin_core::algebra::predicate_join;
 use vtjoin_core::{Interval, JoinPredicate, Relation};
@@ -20,10 +21,6 @@ use vtjoin_join::partition::intervals::equal_width;
 use vtjoin_join::partition::GridPlan;
 use vtjoin_obs::json::obj;
 use vtjoin_obs::Json;
-use vtjoin_workload::generate::{
-    generate, inner_schema, outer_schema, DurationDistribution, GeneratorConfig, KeyDistribution,
-    TimeDistribution,
-};
 
 /// Version stamped into `BENCH_predicate.json` as `schema_version`;
 /// [`validate`] rejects other versions.
@@ -107,38 +104,14 @@ pub fn smoke_config() -> PredicateBenchConfig {
 /// same-key pairs land in every Allen relation (overlapping, adjacent,
 /// and well-separated alike).
 pub fn workload_pair(cfg: &PredicateBenchConfig, ratio: u64) -> (Relation, Relation) {
-    let keys = (cfg.tuples / ratio.max(1)).max(1);
-    let gen = |seed: u64, outer: bool| {
-        let g = GeneratorConfig {
-            tuples: cfg.tuples,
-            long_lived: cfg.long_lived,
-            lifespan: cfg.lifespan,
-            keys,
-            key_dist: KeyDistribution::Uniform,
-            time_dist: TimeDistribution::Clustered(3),
-            duration_dist: DurationDistribution::UniformUpTo(cfg.max_duration.max(1)),
-            pad_bytes: 0,
-            seed,
-        };
-        let schema = if outer {
-            outer_schema(0)
-        } else {
-            inner_schema(0)
-        };
-        generate(schema, &g)
-    };
-    (
-        gen(cfg.seed ^ ratio, true),
-        gen(cfg.seed ^ ratio ^ 0xabcd, false),
-    )
-}
-
-/// The order-independent byte image of a result relation (as in the
-/// kernel benchmark): every tuple's storage-codec encoding, sorted.
-fn sorted_encoding(rel: &Relation) -> Vec<Vec<u8>> {
-    let mut bytes: Vec<Vec<u8>> = rel.iter().map(vtjoin_storage::codec::encode).collect();
-    bytes.sort_unstable();
-    bytes
+    generated_pair(&clustered_generator(
+        cfg.tuples,
+        cfg.long_lived,
+        (cfg.tuples / ratio.max(1)).max(1),
+        cfg.lifespan,
+        cfg.max_duration,
+        cfg.seed ^ ratio,
+    ))
 }
 
 /// Runs the grid and returns the `BENCH_predicate.json` document.
@@ -237,40 +210,24 @@ pub fn run(cfg: &PredicateBenchConfig) -> Json {
     ])
 }
 
-/// Validates a `BENCH_predicate.json` document: schema version, benchmark
-/// name, workload fields, a non-empty cell grid whose cells each carry the
-/// full counter set, every template one of the three compiled names with
-/// all three represented, and a passing oracle byte-identity check in
-/// **every** cell. Used by `bench_predicate --validate` and the CI smoke
-/// step.
+/// Validates a `BENCH_predicate.json` document: the shared envelope, a
+/// non-empty cell grid whose cells each carry the full counter set, every
+/// template one of the three compiled names with all three represented,
+/// and a passing oracle byte-identity check in **every** cell.
 pub fn validate(doc: &Json) -> Result<(), String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_i64)
-        .ok_or("missing schema_version")?;
-    if version != BENCH_SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version}, expected {BENCH_SCHEMA_VERSION}"
-        ));
-    }
-    match doc.get("benchmark").and_then(Json::as_str) {
-        Some("predicate-grid") => {}
-        other => return Err(format!("unexpected benchmark field {other:?}")),
-    }
-    let workload = doc.get("workload").ok_or("missing workload")?;
-    for key in [
-        "tuples_per_side",
-        "lifespan",
-        "max_duration",
-        "partitions",
-        "threads",
-        "seed",
-    ] {
-        workload
-            .get(key)
-            .and_then(Json::as_i64)
-            .ok_or_else(|| format!("missing workload.{key}"))?;
-    }
+    check_envelope(
+        doc,
+        BENCH_SCHEMA_VERSION,
+        "predicate-grid",
+        &[
+            "tuples_per_side",
+            "lifespan",
+            "max_duration",
+            "partitions",
+            "threads",
+            "seed",
+        ],
+    )?;
     match doc.get("all_oracle_identical").and_then(Json::as_i64) {
         Some(1) => {}
         Some(_) => return Err("some cell diverged from the nested-loop oracle".into()),
@@ -294,21 +251,21 @@ pub fn validate(doc: &Json) -> Result<(), String> {
             }
             other => return Err(format!("cells[{i}].template: unexpected {other:?}")),
         }
-        for key in [
-            "duplicates_per_key",
-            "keys",
-            "partitions_used",
-            "result_tuples",
-            "wall_micros",
-            "filter_checks",
-            "filter_hits",
-            "merge_pairs_scanned",
-            "merge_pairs_emitted",
-        ] {
-            c.get(key)
-                .and_then(Json::as_i64)
-                .ok_or_else(|| format!("missing cells[{i}].{key}"))?;
-        }
+        require_ints(
+            c,
+            &format!("cells[{i}]"),
+            &[
+                "duplicates_per_key",
+                "keys",
+                "partitions_used",
+                "result_tuples",
+                "wall_micros",
+                "filter_checks",
+                "filter_hits",
+                "merge_pairs_scanned",
+                "merge_pairs_emitted",
+            ],
+        )?;
         match c.get("oracle_identical").and_then(Json::as_i64) {
             Some(1) => {}
             Some(_) => {

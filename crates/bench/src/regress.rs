@@ -1,5 +1,6 @@
 //! Bench-regression comparison: checked-in baseline documents vs a fresh
-//! run, over **deterministic counters only**.
+//! run, over **deterministic counters only**, plus the document envelope
+//! every benchmark validator shares.
 //!
 //! CI machines have wildly variable wall-clock behaviour, so a useful
 //! regression gate can never compare timings. What it *can* compare
@@ -7,14 +8,14 @@
 //! fixed seed: I/O operation counts, sweep comparisons, result
 //! cardinalities, partition counts, cache hit/miss totals. [`compare`]
 //! walks a current benchmark document against a baseline and flags every
-//! integer leaf that drifted beyond a per-leaf tolerance (in permille),
-//! skipping any field whose name marks it as timing-derived (the
-//! [`NONDETERMINISTIC_KEY_MARKERS`] denylist).
+//! leaf that differs, skipping any field whose name marks it as
+//! timing-derived (the [`NONDETERMINISTIC_KEY_MARKERS`] denylist). The
+//! fixed-seed workloads make the baselines exact, so there is no
+//! tolerance: one I/O more or less is a drift.
 //!
-//! The gate reads: `bench_* --validate FILE --baseline BASE
-//! --tolerance-permille N` — validation of the document's own schema
-//! first, then the drift check. With the repo's fixed-seed workloads the
-//! baselines are exact, so CI pins `--tolerance-permille 0`.
+//! The gate is `cargo test -p vtjoin-bench --test smoke_gate`: each
+//! benchmark's smoke document is validated against its own schema, then
+//! compared with `ci/baselines/BENCH_<name>_smoke.json`.
 
 use vtjoin_obs::Json;
 
@@ -59,18 +60,7 @@ impl std::fmt::Display for Drift {
     }
 }
 
-fn within_tolerance(baseline: i64, current: i64, tolerance_permille: u64) -> bool {
-    if baseline == current {
-        return true;
-    }
-    let diff = baseline.abs_diff(current);
-    // Tolerance scales with the baseline magnitude; a zero baseline only
-    // matches exactly (any appearance of a counter that should be absent
-    // is a drift regardless of tolerance).
-    diff.saturating_mul(1000) <= baseline.unsigned_abs().saturating_mul(tolerance_permille)
-}
-
-fn walk(path: &str, current: &Json, baseline: &Json, tol: u64, drifts: &mut Vec<Drift>) {
+fn walk(path: &str, current: &Json, baseline: &Json, drifts: &mut Vec<Drift>) {
     match (current, baseline) {
         (Json::Obj(_), Json::Obj(base_pairs)) => {
             for (key, base_val) in base_pairs {
@@ -79,7 +69,7 @@ fn walk(path: &str, current: &Json, baseline: &Json, tol: u64, drifts: &mut Vec<
                 }
                 let child = format!("{path}.{key}");
                 match current.get(key) {
-                    Some(cur_val) => walk(&child, cur_val, base_val, tol, drifts),
+                    Some(cur_val) => walk(&child, cur_val, base_val, drifts),
                     // A counter present in the baseline but missing from
                     // the current run is itself a regression signal.
                     None => drifts.push(Drift {
@@ -100,20 +90,11 @@ fn walk(path: &str, current: &Json, baseline: &Json, tol: u64, drifts: &mut Vec<
                 return;
             }
             for (i, (c, b)) in cur.iter().zip(base).enumerate() {
-                walk(&format!("{path}[{i}]"), c, b, tol, drifts);
+                walk(&format!("{path}[{i}]"), c, b, drifts);
             }
         }
-        (Json::Int(c), Json::Int(b)) => {
-            if !within_tolerance(*b, *c, tol) {
-                drifts.push(Drift {
-                    path: path.to_owned(),
-                    baseline: *b,
-                    current: *c,
-                });
-            }
-        }
-        // Strings, bools, nulls: identity only (benchmark/kernel names,
-        // distribution labels — a change is a schema change, not drift).
+        // Integers, strings, bools, nulls: identity (a renamed benchmark
+        // or kernel label is a schema change, not drift, but still fails).
         (c, b) => {
             if c != b {
                 drifts.push(Drift {
@@ -126,62 +107,57 @@ fn walk(path: &str, current: &Json, baseline: &Json, tol: u64, drifts: &mut Vec<
     }
 }
 
-/// Compares a current benchmark document against a baseline. Every
-/// integer leaf reachable through non-denylisted keys must stay within
-/// `tolerance_permille` of the baseline value (0 ⇒ exact). Returns the
-/// list of drifted leaves; empty means the gate passes.
-pub fn compare(current: &Json, baseline: &Json, tolerance_permille: u64) -> Vec<Drift> {
+/// Compares a current benchmark document against a baseline. Every leaf
+/// reachable through non-denylisted baseline keys must equal the
+/// baseline's exactly. Returns the list of drifted leaves; empty means
+/// the gate passes.
+pub fn compare(current: &Json, baseline: &Json) -> Vec<Drift> {
     let mut drifts = Vec::new();
-    walk("$", current, baseline, tolerance_permille, &mut drifts);
+    walk("$", current, baseline, &mut drifts);
     drifts
 }
 
-/// [`compare`] as a `Result`, formatted for CLI use: `Err` carries one
-/// line per drifted leaf.
-pub fn compare_or_fail(
-    current: &Json,
-    baseline: &Json,
-    tolerance_permille: u64,
-) -> Result<(), String> {
-    let drifts = compare(current, baseline, tolerance_permille);
-    if drifts.is_empty() {
-        return Ok(());
-    }
-    let mut msg = format!(
-        "{} deterministic counter(s) drifted beyond {}‰:",
-        drifts.len(),
-        tolerance_permille
-    );
-    for d in &drifts {
-        msg.push_str("\n  ");
-        msg.push_str(&d.to_string());
-    }
-    Err(msg)
-}
-
-/// The shared `--validate FILE [--baseline FILE --tolerance-permille N]`
-/// implementation behind every `bench_*` binary: schema-validate the
-/// document, then (when a baseline is given) schema-validate the baseline
-/// too and fail on any deterministic-counter drift beyond the tolerance.
-pub fn validate_with_baseline(
-    path: &str,
-    baseline: Option<&str>,
-    tolerance_permille: u64,
-    validate: impl Fn(&Json) -> Result<(), String>,
-) -> Result<(), String> {
-    let read = |p: &str| -> Result<Json, String> {
-        let text = std::fs::read_to_string(p).map_err(|e| format!("reading {p}: {e}"))?;
-        Json::parse(&text).map_err(|e| format!("parsing {p}: {e}"))
-    };
-    let doc = read(path)?;
-    validate(&doc).map_err(|e| format!("{path}: {e}"))?;
-    if let Some(base_path) = baseline {
-        let base = read(base_path)?;
-        validate(&base).map_err(|e| format!("baseline {base_path}: {e}"))?;
-        compare_or_fail(&doc, &base, tolerance_permille)
-            .map_err(|e| format!("{path} vs baseline {base_path}: {e}"))?;
+/// Requires an integer under each of `keys` in `section`; `path` names
+/// the section in the error (`missing cells[3].result_tuples`).
+pub fn require_ints(section: &Json, path: &str, keys: &[&str]) -> Result<(), String> {
+    for key in keys {
+        section
+            .get(key)
+            .and_then(Json::as_i64)
+            .ok_or_else(|| format!("missing {path}.{key}"))?;
     }
     Ok(())
+}
+
+/// The envelope every benchmark document shares: `schema_version` equal
+/// to the module's `version`, `benchmark` equal to `name`, a `host`
+/// section with `host_cores` and `host_parallelism` when one is present
+/// (older smoke baselines predate it), and an integer under each of
+/// `workload_keys` in the `workload` section. Returns the workload
+/// section.
+pub fn check_envelope<'a>(
+    doc: &'a Json,
+    version: i64,
+    name: &str,
+    workload_keys: &[&str],
+) -> Result<&'a Json, String> {
+    let found = doc
+        .get("schema_version")
+        .and_then(Json::as_i64)
+        .ok_or("missing schema_version")?;
+    if found != version {
+        return Err(format!("schema_version {found}, expected {version}"));
+    }
+    match doc.get("benchmark").and_then(Json::as_str) {
+        Some(b) if b == name => {}
+        other => return Err(format!("unexpected benchmark field {other:?}")),
+    }
+    if let Some(host) = doc.get("host") {
+        require_ints(host, "host", &["host_cores", "host_parallelism"])?;
+    }
+    let workload = doc.get("workload").ok_or("missing workload")?;
+    require_ints(workload, "workload", workload_keys)?;
+    Ok(workload)
 }
 
 #[cfg(test)]
@@ -206,10 +182,9 @@ mod tests {
     }
 
     #[test]
-    fn identical_documents_pass_at_zero_tolerance() {
+    fn identical_documents_pass() {
         let d = doc(1000, 777, 42);
-        assert_eq!(compare(&d, &d, 0), Vec::new());
-        assert!(compare_or_fail(&d, &d, 0).is_ok());
+        assert_eq!(compare(&d, &d), Vec::new());
     }
 
     #[test]
@@ -217,7 +192,7 @@ mod tests {
         // Same counters, wildly different timings: still a pass.
         let current = doc(1000, 999_999, 42);
         let baseline = doc(1000, 3, 42);
-        assert_eq!(compare(&current, &baseline, 0), Vec::new());
+        assert_eq!(compare(&current, &baseline), Vec::new());
     }
 
     #[test]
@@ -225,26 +200,20 @@ mod tests {
         let baseline = doc(1000, 777, 42);
         // An extra I/O op: the comparator must flag exactly that leaf.
         let regressed = doc(1001, 777, 42);
-        let drifts = compare(&regressed, &baseline, 0);
+        let drifts = compare(&regressed, &baseline);
         assert_eq!(drifts.len(), 1);
         assert_eq!(drifts[0].path, "$.runs[0].io_ops");
         assert_eq!((drifts[0].baseline, drifts[0].current), (1000, 1001));
-        assert!(compare_or_fail(&regressed, &baseline, 0).is_err());
+        // One fewer is a drift too: the comparison is exact both ways.
+        let drifts = compare(&doc(999, 777, 42), &baseline);
+        assert_eq!((drifts[0].baseline, drifts[0].current), (1000, 999));
     }
 
     #[test]
-    fn tolerance_permille_admits_small_drift_only() {
-        let baseline = doc(1000, 777, 42);
-        let nudged = doc(1005, 777, 42);
-        assert!(compare(&nudged, &baseline, 5).is_empty()); // 5‰ of 1000 = 5
-        assert_eq!(compare(&nudged, &baseline, 4).len(), 1);
-    }
-
-    #[test]
-    fn cardinality_change_is_a_drift_even_with_tolerance() {
+    fn cardinality_change_is_a_drift() {
         let baseline = doc(1000, 777, 42);
         let wrong = doc(1000, 777, 0);
-        let drifts = compare(&wrong, &baseline, 100);
+        let drifts = compare(&wrong, &baseline);
         assert_eq!(drifts.len(), 1);
         assert_eq!(drifts[0].path, "$.runs[0].result_tuples");
     }
@@ -258,10 +227,35 @@ mod tests {
         };
         pairs.retain(|(k, _)| k != "runs");
         let gutted = Json::Obj(pairs);
-        assert!(!compare(&gutted, &baseline, 0).is_empty());
+        assert!(!compare(&gutted, &baseline).is_empty());
         // Renamed benchmark string is flagged too.
         let renamed =
             Json::parse(&baseline.to_pretty().replacen("\"demo\"", "\"other\"", 1)).unwrap();
-        assert_eq!(compare(&renamed, &baseline, 0).len(), 1);
+        assert_eq!(compare(&renamed, &baseline).len(), 1);
+    }
+
+    #[test]
+    fn envelope_pins_version_name_host_and_workload_keys() {
+        let with = |host: Json| {
+            obj(vec![
+                ("schema_version", Json::Int(2)),
+                ("benchmark", Json::Str("demo".into())),
+                ("host", host),
+                ("workload", obj(vec![("seed", Json::Int(7))])),
+            ])
+        };
+        let good = with(obj(vec![
+            ("host_cores", Json::Int(2)),
+            ("host_parallelism", Json::Int(1)),
+        ]));
+        assert!(check_envelope(&good, 2, "demo", &["seed"]).is_ok());
+        let err = check_envelope(&good, 3, "demo", &["seed"]).unwrap_err();
+        assert!(err.contains("schema_version 2, expected 3"), "{err}");
+        assert!(check_envelope(&good, 2, "other", &["seed"]).is_err());
+        let err = check_envelope(&good, 2, "demo", &["seed", "keys"]).unwrap_err();
+        assert_eq!(err, "missing workload.keys");
+        let bad_host = with(obj(vec![("host_cores", Json::Int(2))]));
+        let err = check_envelope(&bad_host, 2, "demo", &["seed"]).unwrap_err();
+        assert_eq!(err, "missing host.host_parallelism");
     }
 }

@@ -23,7 +23,7 @@
 //!   interactive requests (each must shed with `DeadlineExceeded` once its
 //!   deadline lapses in the queue). The shed counters are *exact* under
 //!   this geometry — the pool can never admit while held — so the regress
-//!   gate compares them at zero tolerance. Releasing the hold drains the
+//!   gate compares them exactly. Releasing the hold drains the
 //!   remaining requests to completion, byte-checked against the oracle.
 //! * **poisson** — open-loop arrivals on a seeded exponential clock
 //!   against a pool sized for two concurrent joins, mixed 50/30/20 across
@@ -39,6 +39,8 @@
 //! Wall-clock and speedup fields are named so the regression comparator
 //! ([`crate::regress`]) skips them; everything else is deterministic.
 
+use crate::harness::{clustered_generator, generated_pair, sorted_encoding};
+use crate::regress::check_envelope;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -50,10 +52,7 @@ use vtjoin_engine::{
 use vtjoin_join::JoinConfig;
 use vtjoin_obs::json::obj;
 use vtjoin_obs::Json;
-use vtjoin_workload::generate::{
-    generate, inner_schema, outer_schema, DurationDistribution, GeneratorConfig, KeyDistribution,
-    TimeDistribution,
-};
+use vtjoin_workload::generate::{GeneratorConfig, TimeDistribution};
 
 /// Version stamped into `BENCH_service.json` as `schema_version`;
 /// [`validate`] rejects other versions. Version 2 added the `closed_loop`
@@ -136,33 +135,17 @@ pub fn smoke_config() -> ServiceBenchConfig {
 /// The benchmark's relation pair (uniform keys and start times, mixed
 /// durations — the paper's base workload shape).
 pub fn workload_pair(cfg: &ServiceBenchConfig) -> (Relation, Relation) {
-    let gen = |seed: u64, outer: bool| {
-        let g = GeneratorConfig {
-            tuples: cfg.tuples,
-            long_lived: cfg.long_lived,
-            lifespan: cfg.lifespan,
-            keys: cfg.keys,
-            key_dist: KeyDistribution::Uniform,
-            time_dist: TimeDistribution::Uniform,
-            duration_dist: DurationDistribution::UniformUpTo((cfg.lifespan / 64).max(1)),
-            pad_bytes: 0,
-            seed,
-        };
-        let schema = if outer {
-            outer_schema(0)
-        } else {
-            inner_schema(0)
-        };
-        generate(schema, &g)
-    };
-    (gen(cfg.seed, true), gen(cfg.seed ^ 0xabcd, false))
-}
-
-/// The order-independent byte image of a result relation.
-fn sorted_encoding(rel: &Relation) -> Vec<Vec<u8>> {
-    let mut bytes: Vec<Vec<u8>> = rel.iter().map(vtjoin_storage::codec::encode).collect();
-    bytes.sort_unstable();
-    bytes
+    generated_pair(&GeneratorConfig {
+        time_dist: TimeDistribution::Uniform,
+        ..clustered_generator(
+            cfg.tuples,
+            cfg.long_lived,
+            cfg.keys,
+            cfg.lifespan,
+            cfg.lifespan / 64,
+            cfg.seed,
+        )
+    })
 }
 
 fn build_service(cfg: &ServiceBenchConfig, plan_cache: bool) -> JoinService {
@@ -579,39 +562,25 @@ pub fn run(cfg: &ServiceBenchConfig) -> Json {
     ])
 }
 
-/// Validates a `BENCH_service.json` document: schema version, benchmark
-/// name, workload fields, the exact expected hit/miss split in the serial
-/// sections, positive planner I/O savings, and a passing byte-identity
-/// check. Used by `bench_service --validate` and the CI smoke step.
+/// Validates a `BENCH_service.json` document: the shared envelope, the
+/// exact expected hit/miss split in the serial sections, positive planner
+/// I/O savings, the closed-loop shedding counters, and a passing
+/// byte-identity check.
 pub fn validate(doc: &Json) -> Result<(), String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_i64)
-        .ok_or("missing schema_version")?;
-    if version != BENCH_SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version}, expected {BENCH_SCHEMA_VERSION}"
-        ));
-    }
-    match doc.get("benchmark").and_then(Json::as_str) {
-        Some("service-plan-cache") => {}
-        other => return Err(format!("unexpected benchmark field {other:?}")),
-    }
-    let workload = doc.get("workload").ok_or("missing workload")?;
-    for key in [
-        "tuples_per_side",
-        "keys",
-        "buffer_pages",
-        "pool_pages",
-        "concurrency",
-        "repeats",
-        "seed",
-    ] {
-        workload
-            .get(key)
-            .and_then(Json::as_i64)
-            .ok_or_else(|| format!("missing workload.{key}"))?;
-    }
+    let workload = check_envelope(
+        doc,
+        BENCH_SCHEMA_VERSION,
+        "service-plan-cache",
+        &[
+            "tuples_per_side",
+            "keys",
+            "buffer_pages",
+            "pool_pages",
+            "concurrency",
+            "repeats",
+            "seed",
+        ],
+    )?;
     match doc.get("results_byte_identical").and_then(Json::as_i64) {
         Some(1) => {}
         Some(_) => return Err("service results diverged from the oracle join".into()),
@@ -746,6 +715,6 @@ mod tests {
         // the property the CI baseline gate relies on.
         let a = run(&smoke_config());
         let b = run(&smoke_config());
-        assert_eq!(crate::regress::compare(&a, &b, 0), Vec::new());
+        assert_eq!(crate::regress::compare(&a, &b), Vec::new());
     }
 }

@@ -859,7 +859,7 @@ fn replicate<'a>(rel: &'a Relation, intervals: &[Interval]) -> Vec<Vec<&'a Tuple
 
 /// The pre-optimization executor: static contiguous chunks of partitions,
 /// each joined with the O(|rᵢ|·|sᵢ|) pairwise `try_match` loop. Kept as
-/// the ablation baseline `bench_parallel` measures [`run`] against; not
+/// the ablation baseline `bench parallel` measures [`run`] against; not
 /// part of the engine's recommended surface.
 pub fn parallel_partition_join_naive(
     r: &Relation,

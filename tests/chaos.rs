@@ -8,6 +8,9 @@
 //! later as a page-checksum mismatch, which must still come back as a
 //! typed error.
 //!
+//! The rate sweep runs all three disk algorithms (partition, sort-merge,
+//! nested loop); with faults off every one of them must be oracle-exact.
+//!
 //! Also covers the observability contract: runs with faults armed attach
 //! a `faults` section to the execution report and that section survives
 //! the JSON round trip exactly; clean runs attach nothing.
@@ -40,17 +43,18 @@ fn workload(tuples: u64, long_lived: u64, seed: u64) -> (Relation, Relation) {
     (r, s)
 }
 
-/// Loads the pair onto a fresh small-paged disk and arms the given fault
-/// rate (reads, writes, and a quarter-rate of torn writes) after the load,
-/// so the inputs themselves start intact.
+/// Loads the pair onto a fresh disk of `page_size`-byte pages and arms the
+/// given fault rate (reads, writes, and a quarter-rate of torn writes)
+/// after the load, so the inputs themselves start intact.
 fn faulty_disk(
     r: &Relation,
     s: &Relation,
+    page_size: usize,
     rate: u32,
     seed: u64,
     retry: RetryPolicy,
 ) -> (SharedDisk, HeapFile, HeapFile) {
-    let disk = SharedDisk::new(512);
+    let disk = SharedDisk::new(page_size);
     let hr = HeapFile::bulk_load(&disk, r).unwrap();
     let hs = HeapFile::bulk_load(&disk, s).unwrap();
     if rate > 0 {
@@ -78,7 +82,7 @@ fn sweep_is_oracle_exact_or_typed_error() {
                 // Rates up to 5% (the acceptance ceiling); retry budget on.
                 for rate in [5u32, 20, 50] {
                     let (_disk, hr, hs) =
-                        faulty_disk(&r, &s, rate, fault_seed, RetryPolicy::default());
+                        faulty_disk(&r, &s, 512, rate, fault_seed, RetryPolicy::default());
                     let cfg = JoinConfig::with_buffer(buffer).collecting();
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
                         PartitionJoin::default().execute(&hr, &hs, &cfg)
@@ -122,13 +126,57 @@ fn sweep_is_oracle_exact_or_typed_error() {
 }
 
 #[test]
+fn every_disk_algorithm_is_oracle_exact_or_typed_error_across_rates() {
+    // Fixed fault seed; each run arms `SEED ^ (rate << 8) ^ run`.
+    const SEED: u64 = 50181;
+    let (r, s) = workload(1200, 1200 / 8, SEED);
+    let oracle = natural_join(&r, &s).unwrap();
+    let algos: [(&str, &dyn JoinAlgorithm); 3] = [
+        ("partition", &PartitionJoin::default()),
+        ("sort-merge", &SortMergeJoin),
+        ("nested-loop", &NestedLoopJoin),
+    ];
+    let (mut exact, mut typed) = (0u64, 0u64);
+    for rate in [0u64, 2, 5, 10, 20, 50] {
+        for run in 0..2u64 {
+            for (name, algo) in algos {
+                let seed = SEED ^ (rate << 8) ^ run;
+                let (_disk, hr, hs) =
+                    faulty_disk(&r, &s, 1024, rate as u32, seed, RetryPolicy::default());
+                let cfg = JoinConfig::with_buffer(24).collecting();
+                let outcome = catch_unwind(AssertUnwindSafe(|| algo.execute(&hr, &hs, &cfg)))
+                    .unwrap_or_else(|_| panic!("{name} panicked at {rate}‰, run {run}"));
+                match outcome {
+                    Ok(report) => {
+                        let got = report.result.as_ref().unwrap();
+                        assert!(
+                            got.multiset_eq(&oracle),
+                            "{name} @ {rate}‰ run {run}: silent wrong result \
+                             ({} tuples, oracle {})",
+                            got.len(),
+                            oracle.len()
+                        );
+                        exact += 1;
+                    }
+                    Err(e) => {
+                        assert!(rate > 0, "{name} errored with faults off: {e}");
+                        typed += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(exact + typed, 6 * 2 * 3, "accounting mismatch");
+}
+
+#[test]
 fn no_retries_still_never_silently_wrong() {
     // With the retry budget off, the first injected fault surfaces; the
     // invariant must hold on the error path alone.
     let (r, s) = workload(600, 64, 11);
     let oracle = natural_join(&r, &s).unwrap();
     for fault_seed in [5u64, 6, 7, 8] {
-        let (_disk, hr, hs) = faulty_disk(&r, &s, 30, fault_seed, RetryPolicy::NONE);
+        let (_disk, hr, hs) = faulty_disk(&r, &s, 512, 30, fault_seed, RetryPolicy::NONE);
         let cfg = JoinConfig::with_buffer(24).collecting();
         match PartitionJoin::default().execute(&hr, &hs, &cfg) {
             Ok(report) => {
@@ -193,7 +241,7 @@ fn faults_section_attaches_and_round_trips_exactly() {
 #[test]
 fn clean_runs_attach_no_faults_section() {
     let (r, s) = workload(400, 0, 17);
-    let (_disk, hr, hs) = faulty_disk(&r, &s, 0, 0, RetryPolicy::default());
+    let (_disk, hr, hs) = faulty_disk(&r, &s, 512, 0, 0, RetryPolicy::default());
     let cfg = JoinConfig::with_buffer(12).collecting();
     let report = PartitionJoin::default().execute(&hr, &hs, &cfg).unwrap();
     assert!(
