@@ -20,10 +20,11 @@ use vtjoin_core::algebra::{
     segments_to_relation, semijoin_pred, Extremum, JoinSide,
 };
 use vtjoin_core::{AggFunc, Interval, JoinPredicate, Operator, Relation};
-use vtjoin_engine::operator_join;
+use vtjoin_engine::{run as run_plan, ExecPlan, MaterializeSink};
 use vtjoin_join::partition::intervals::equal_width;
+use vtjoin_join::partition::GridPlan;
 use vtjoin_obs::json::obj;
-use vtjoin_obs::Json;
+use vtjoin_obs::{Json, OperatorSection};
 
 /// Version stamped into `BENCH_operator.json` as `schema_version`;
 /// [`validate`] rejects other versions.
@@ -156,11 +157,25 @@ fn oracle(r: &Relation, s: &Relation, op: &Operator, pred: &JoinPredicate) -> Re
     .expect("oracle join failed")
 }
 
+/// One executor run of `op` over `plan`: the result and its operator
+/// section.
+fn op_run(plan: &ExecPlan, r: &Relation, s: &Relation) -> (Relation, OperatorSection) {
+    let mut out = MaterializeSink::default();
+    let report = run_plan(plan, r, s, &mut out).expect("benchmark operator run failed");
+    let section = report
+        .operator
+        .expect("non-inner runs carry an operator section");
+    (out.into_relation(), section)
+}
+
 /// Runs the grid and returns the `BENCH_operator.json` document.
 pub fn run(cfg: &OperatorBenchConfig) -> Json {
     let pred = JoinPredicate::intersects();
     let lifespan_iv = Interval::from_raw(0, cfg.lifespan).expect("positive lifespan");
-    let intervals = equal_width(lifespan_iv, cfg.partitions);
+    let grid = GridPlan {
+        key_buckets: cfg.key_buckets as u64,
+        intervals: equal_width(lifespan_iv, cfg.partitions),
+    };
 
     let mut cells = Vec::new();
     let mut all_identical = 1_i64;
@@ -169,16 +184,19 @@ pub fn run(cfg: &OperatorBenchConfig) -> Json {
         for name in GRID_OPERATORS {
             let op: Operator = name.parse().expect("grid operator parses");
             let want = ordered_encoding(&oracle(&r, &s, &op, &pred));
+            let plan = ExecPlan {
+                predicate: pred,
+                op,
+                ..ExecPlan::new(grid.clone(), cfg.threads)
+            };
             let mut wall = u64::MAX;
             for _ in 0..cfg.repeats.max(1) {
                 let t0 = Instant::now();
-                operator_join(&r, &s, &op, &pred, &intervals, cfg.key_buckets, cfg.threads)
-                    .expect("benchmark operator run failed");
+                op_run(&plan, &r, &s);
                 wall = wall.min(t0.elapsed().as_micros() as u64);
             }
-            let (result, c) =
-                operator_join(&r, &s, &op, &pred, &intervals, cfg.key_buckets, cfg.threads)
-                    .expect("benchmark operator run failed");
+            let (result, c) = op_run(&plan, &r, &s);
+            let op = &plan.op;
             let identical = i64::from(ordered_encoding(&result) == want);
             all_identical &= identical;
             cells.push(obj(vec![

@@ -18,10 +18,10 @@
 //!   coalescing;
 //! * [`parallel`] — the one in-memory executor: an [`ExecPlan`] run over
 //!   a replicated (key × time) partition grid by [`run`], the Leung–Muntz
-//!   multiprocessor setting (\[LM92b\]);
-//! * [`operator`] — the production executor for the wider §4.1 operator
-//!   family (outer/semi/anti joins and temporal aggregation), running
-//!   dangling-fragment-tracking sweeps over the same partition grid;
+//!   multiprocessor setting (\[LM92b\]), for the inner join and the
+//!   wider §4.1 operator family (outer/semi/anti joins and temporal
+//!   aggregation, selected by `ExecPlan::op`, which run
+//!   dangling-fragment-tracking sweeps over the same grid);
 //! * [`service`] — a concurrent multi-query join service: admission
 //!   control over a shared page pool and a statistics-fingerprinted plan
 //!   cache that reuses partition boundaries across requests, skipping the
@@ -32,7 +32,7 @@
 #![warn(clippy::all)]
 
 pub mod database;
-pub mod operator;
+mod operator;
 pub mod parallel;
 pub mod planner;
 pub mod query;
@@ -40,7 +40,6 @@ pub mod service;
 pub mod view;
 
 pub use database::{Database, TableStats};
-pub use operator::{operator_execution_report, operator_join, OperatorCounters};
 #[doc(hidden)]
 pub use parallel::grid_execution_report_layout;
 pub use parallel::{

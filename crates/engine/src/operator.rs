@@ -1,24 +1,24 @@
-//! Production executor for the temporal operator family.
+//! The temporal operator family on the one in-memory executor.
 //!
-//! The disk algorithms and the grid executor of [`crate::parallel`]
-//! evaluate the paper's **inner** valid-time natural join. This module
-//! lifts the rest of the §4.1 operator family — temporal LEFT/FULL outer
-//! join, semijoin, antijoin, and temporal aggregation over the join
-//! result — from the nested-loop oracles of `vtjoin_core::algebra` onto
-//! the production stack:
+//! The disk algorithms and the inner-join path of [`crate::parallel`]
+//! evaluate the paper's **inner** valid-time natural join. An
+//! [`ExecPlan`] whose `op` is not [`Operator::Inner`] evaluates the rest
+//! of the §4.1 operator family — temporal LEFT/FULL outer join,
+//! semijoin, antijoin, and temporal aggregation over the join result —
+//! through the same [`crate::run`], byte-identical to the nested-loop
+//! oracles of `vtjoin_core::algebra`. This module holds the family's
+//! per-cell jobs and its gather:
 //!
 //! * tuples are encoded and scattered into the same (key-bucket ×
-//!   time-range) grid cells as the inner-join executor, by the same
-//!   `encode_pair` + `scatter_rows` pass (equal keys co-bucket by
-//!   construction; tuples replicate only along the time axis), and the
-//!   cells are claimed by workers started through the engine's one
-//!   scheduler;
+//!   time-range) grid cells as the inner join ([`Scattered`]), and the
+//!   cells are claimed through the same work loop and shard reservations
+//!   ([`deliver`]);
 //! * each cell runs the dangling-fragment-tracking sweep
 //!   ([`vtjoin_join::kernel::tracked`]), which emits matched pairs under
 //!   the canonical-partition rule and per-tuple **unmatched fragments**
 //!   clipped to the cell's window;
-//! * the gather phase sorts pairs into `(outer, inner)` order — exactly
-//!   the oracle's `r`-major, `s`-candidate order — and **stitches**
+//! * the gather sorts pairs into `(outer, inner)` order — exactly the
+//!   oracle's `r`-major, `s`-candidate order — and **stitches**
 //!   fragments of one tuple that abut at partition boundaries back into
 //!   maximal dangling intervals ([`vtjoin_core::Period::insert`] merges
 //!   adjacency), so a tuple replicated into several partitions reports
@@ -33,75 +33,26 @@
 //!   `extremum_over_time` over the materialized inner join.
 //!
 //! Sequence and mixed predicate templates cannot run on an overlap sweep
-//! (their matches may share no partition); they fall back to a
-//! deterministic chunked nested scan over the outer relation, mirroring
-//! the merge fallback of the inner-join executor.
+//! (their matches may share no partition); they run a nested scan over
+//! the same contiguous outer chunks as the inner join's merge fallback
+//! ([`outer_chunks`]).
 
 use std::cmp::Reverse;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::parallel::{scatter_rows, scoped_workers};
+use crate::parallel::{chunk_detail, deliver, outer_chunks, ExecDetail, ExecPlan, Scattered, Sink};
 use vtjoin_core::algebra::{segments_to_relation, Extremum};
 use vtjoin_core::{
     AggFunc, AttrType, Chronon, Interval, JoinPredicate, Operator, Period, Relation, TemporalError,
     Tuple, Value,
 };
-use vtjoin_join::columnar::{encode_pair, ColumnarSide};
-use vtjoin_join::partition::intervals::is_partitioning;
+use vtjoin_join::columnar::ColumnarSide;
 use vtjoin_join::{
     tracked_sweep, Fragment, JoinError, JoinSpec, OperatorLog, TimelineIndex, TrackedInput,
     TrackedScratch, TrackedStats,
 };
-use vtjoin_obs::{
-    ConfigSection, Counter, ExecutionReport, IoSection, OperatorSection, PhaseSection,
-    PredicateSection, ResultSection,
-};
-
-/// What one operator execution did, for the observability report's
-/// per-operator section and the CLI explain output.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OperatorCounters {
-    /// Canonical string form of the operator evaluated.
-    pub op: String,
-    /// Grid cells that ran a tracked sweep (0 on the nested fallback).
-    pub cells: u64,
-    /// Worker threads used.
-    pub workers: u64,
-    /// Key buckets of the grid (power of two; 1 on the fallback).
-    pub key_buckets: u64,
-    /// Hash-equal candidates inspected across all sweeps.
-    pub comparisons: u64,
-    /// Key-equal pairs tested against the join predicate.
-    pub filter_checks: u64,
-    /// Predicate tests that passed.
-    pub filter_hits: u64,
-    /// Matched pairs logged (canonical cells only).
-    pub pairs_logged: u64,
-    /// Outer-side dangling fragments emitted before stitching.
-    pub outer_fragments: u64,
-    /// Inner-side dangling fragments emitted before stitching.
-    pub inner_fragments: u64,
-    /// Outer fragments merged away at partition boundaries by the gather
-    /// stitch (`fragments - maximal intervals`).
-    pub stitched_outer: u64,
-    /// Inner fragments merged away by the gather stitch.
-    pub stitched_inner: u64,
-    /// Final maximal outer dangling intervals after stitching.
-    pub outer_dangling: u64,
-    /// Final maximal inner dangling intervals after stitching.
-    pub inner_dangling: u64,
-    /// Endpoint events in the aggregation timeline index.
-    pub timeline_events: u64,
-    /// Checkpoints the timeline index took.
-    pub timeline_checkpoints: u64,
-    /// Maximal constant segments the aggregation produced.
-    pub agg_segments: u64,
-    /// Whether the sequence/mixed-template nested fallback ran instead
-    /// of the partitioned tracked sweep.
-    pub fallback_nested: bool,
-}
+use vtjoin_obs::{OperatorSection, WorkerSection};
 
 /// One side's columns for the cell being swept, gathered from the
 /// encoded [`ColumnarSide`] so the tracked sweep reads contiguous slices.
@@ -138,6 +89,21 @@ impl CellCols {
     }
 }
 
+/// One worker's state across the cells (or chunks) it claims: the log
+/// the gather reads, its counters, and the tracked sweep's reusable
+/// buffers.
+#[derive(Default)]
+struct OpWorker {
+    log: OperatorLog,
+    stats: TrackedStats,
+    scratch: TrackedScratch,
+    rc: CellCols,
+    sc: CellCols,
+}
+
+/// What the work loop hands the gather: each worker's section and state.
+type Ran = Vec<(WorkerSection, OpWorker)>;
+
 /// Merges per-cell fragments into one maximal-interval [`Period`] per
 /// tuple. Cell windows are disjoint, so fragments never overlap; abutting
 /// fragments (one tuple split across a partition boundary with no match
@@ -148,245 +114,165 @@ fn stitch(frags: &[Fragment], n: usize) -> (Vec<Period>, u64) {
     for f in frags {
         periods[f.id as usize].insert(f.iv);
     }
-    let finals: u64 = periods.iter().map(|p| p.intervals().len() as u64).sum();
+    let finals = intervals_in(&periods);
     (periods, frags.len() as u64 - finals)
 }
 
-/// Evaluates `op` over `r ⟨op⟩ᵛ s` on the production partitioned stack.
-///
-/// `intervals` must partition all of valid time (as for the inner-join
-/// executor); `key_buckets` is rounded up to a power of two. Per-cell key
-/// equality resolves through the columnar key dictionary. The result is
-/// byte-identical to the corresponding `vtjoin_core::algebra` oracle for
-/// every operator, predicate, thread count, and partition count.
-pub fn operator_join(
+/// Maximal intervals across `periods`.
+fn intervals_in(periods: &[Period]) -> u64 {
+    periods.iter().map(|p| p.intervals().len() as u64).sum()
+}
+
+/// [`crate::run`] for a non-inner `plan.op`: the tracked sweep per grid
+/// cell (or the nested scan per outer chunk for sequence/mixed
+/// templates), then the gather, which delivers the whole result to
+/// `sink` as one batch. The returned detail carries the operator
+/// section.
+pub(crate) fn run_operator(
+    plan: &ExecPlan,
+    spec: &JoinSpec,
     r: &Relation,
     s: &Relation,
-    op: &Operator,
-    pred: &JoinPredicate,
-    intervals: &[Interval],
-    key_buckets: usize,
-    threads: usize,
-) -> Result<(Relation, OperatorCounters), JoinError> {
-    if !is_partitioning(intervals) {
-        return Err(JoinError::Precondition(
-            "intervals must partition all of valid time (sorted, gapless, ending at forever)",
-        ));
-    }
+    sink: &mut dyn Sink,
+) -> Result<ExecDetail, JoinError> {
     assert!(
         r.len() <= u32::MAX as usize && s.len() <= u32::MAX as usize,
-        "operator executor tuple ids are u32"
+        "operator tuple ids are u32"
     );
-    let spec = JoinSpec::natural(r.schema(), s.schema())?;
-    let mut counters = OperatorCounters {
-        op: op.to_string(),
-        key_buckets: 1,
-        ..OperatorCounters::default()
+    let (op, pred) = (&plan.op, &plan.predicate);
+    let nested = !pred.partitioning_eligible();
+    let (mut detail, ran, cells) = if nested {
+        nested_scan(plan, spec, r, s, sink)?
+    } else {
+        tracked_cells(plan, spec, r, s, sink)?
     };
 
-    if !pred.partitioning_eligible() {
-        return nested_fallback(r, s, &spec, op, pred, threads, counters);
+    // Gather: the workers' logs are unordered (cells are claimed
+    // dynamically); the sort and the stitch below restore the oracle's
+    // deterministic order independent of scheduling.
+    let gather_started = Instant::now();
+    let mut log = OperatorLog::default();
+    let mut stats = TrackedStats::default();
+    for (section, w) in ran {
+        detail.workers.push(section);
+        log.pairs.extend(w.log.pairs);
+        log.outer_frags.extend(w.log.outer_frags);
+        log.inner_frags.extend(w.log.inner_frags);
+        stats.merge(&w.stats);
     }
+    log.pairs.sort_unstable();
+    let (outer_dangling, stitched_outer) = stitch(&log.outer_frags, r.len());
+    let (inner_dangling, stitched_inner) = if nested && op.tracks_inner() {
+        // The nested scan logs inner *coverage* (the inner side is shared
+        // across chunks), so the dangling period is its complement.
+        let (matched, _) = stitch(&log.inner_frags, s.len());
+        let dangling = s
+            .iter()
+            .zip(&matched)
+            .map(|(y, m)| Period::from_interval(y.valid()).difference(m))
+            .collect();
+        (dangling, 0)
+    } else {
+        stitch(&log.inner_frags, s.len())
+    };
+    let mut section = OperatorSection {
+        op: op.to_string(),
+        cells,
+        // One worker even with no cell to run, so the count never reads 0.
+        workers: detail.workers.len().max(1) as u64,
+        key_buckets: detail.key_buckets,
+        pairs_logged: log.pairs.len() as u64,
+        outer_fragments: log.outer_frags.len() as u64,
+        inner_fragments: if nested {
+            intervals_in(&inner_dangling)
+        } else {
+            log.inner_frags.len() as u64
+        },
+        stitched_outer,
+        stitched_inner,
+        outer_dangling: intervals_in(&outer_dangling),
+        inner_dangling: intervals_in(&inner_dangling),
+        timeline_events: 0,
+        timeline_checkpoints: 0,
+        agg_segments: 0,
+        fallback_nested: nested,
+    };
+    let rel = materialize(
+        r,
+        s,
+        spec,
+        op,
+        pred,
+        &log.pairs,
+        &outer_dangling,
+        &inner_dangling,
+        &mut section,
+    )?;
+    detail.join_micros += gather_started.elapsed().as_micros() as u64;
+    detail.tuples = rel.len() as u64;
+    detail.comparisons = stats.comparisons;
+    detail.predicate.filter_checks = stats.filter_checks;
+    detail.predicate.filter_hits = stats.filter_hits;
+    detail.operator = Some(section);
+    sink.open(rel.schema());
+    let tuples = rel.into_tuples();
+    if !tuples.is_empty() {
+        sink.push(tuples);
+    }
+    Ok(detail)
+}
 
-    let enc = encode_pair(&spec, r.iter(), s.iter());
-    let k = key_buckets.max(1).next_power_of_two();
-    counters.key_buckets = k as u64;
-    let r_cells = scatter_rows(&enc.outer, intervals, k);
-    let s_cells = scatter_rows(&enc.inner, intervals, k);
-
+/// The partitioned path: every cell that can produce pairs or dangling
+/// fragments runs the tracked sweep, heaviest first. Returns the run
+/// detail, the workers, and the number of cells that ran.
+fn tracked_cells(
+    plan: &ExecPlan,
+    spec: &JoinSpec,
+    r: &Relation,
+    s: &Relation,
+    sink: &mut dyn Sink,
+) -> Result<(ExecDetail, Ran, u64), JoinError> {
+    let g = Scattered::new(plan, spec, r, s);
+    let (op, pred, intervals) = (&plan.op, &plan.predicate, &plan.grid.intervals);
     // A cell must run when it can produce pairs (both sides present) or
     // dangling fragments for a tracked side — a tuple with no partners in
     // its cell is exactly the dangling case, so one-sided cells of a
     // tracked side cannot be skipped.
     let (track_outer, track_inner) = (op.tracks_outer(), op.tracks_inner());
-    let mut order: Vec<usize> = (0..r_cells.len())
-        .filter(|&c| {
-            let (nr, ns) = (r_cells[c].len(), s_cells[c].len());
-            (nr > 0 && (ns > 0 || track_outer)) || (ns > 0 && track_inner)
-        })
-        .collect();
-    order.sort_by_key(|&c| {
-        let (nr, ns) = (r_cells[c].len() as u64, s_cells[c].len() as u64);
+    let runs = |c: &usize| {
+        let (nr, ns) = (g.r_cells[*c].len(), g.s_cells[*c].len());
+        (nr > 0 && (ns > 0 || track_outer)) || (ns > 0 && track_inner)
+    };
+    let mut cells: Vec<usize> = (0..g.est_costs.len()).filter(runs).collect();
+    cells.sort_by_key(|&c| {
+        let (nr, ns) = (g.r_cells[c].len() as u64, g.s_cells[c].len() as u64);
         (Reverse(nr * ns + nr + ns), c)
     });
-    counters.cells = order.len() as u64;
 
-    // One worker even with no cell to run, so the report's worker count
-    // never reads zero.
-    let items = order.len().max(1);
-    counters.workers = threads.max(1).min(items) as u64;
-    let next = AtomicUsize::new(0);
-    let spawn = |_| {
-        let (next, order, enc) = (&next, &order, &enc);
-        let (r_cells, s_cells) = (&r_cells, &s_cells);
-        move || {
-            let mut scratch = TrackedScratch::default();
-            let mut log = OperatorLog::default();
-            let mut stats = TrackedStats::default();
-            let (mut rc, mut sc) = (CellCols::default(), CellCols::default());
-            while let Some(&c) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
-                rc.gather(&enc.outer, &r_cells[c]);
-                sc.gather(&enc.inner, &s_cells[c]);
-                let st = tracked_sweep(
-                    op,
-                    Some(pred),
-                    rc.input(),
-                    sc.input(),
-                    intervals[c / k],
-                    |xi, yi| enc.outer.key_id(rc.ids[xi]) == enc.inner.key_id(sc.ids[yi]),
-                    &mut scratch,
-                    &mut log,
-                );
-                stats.merge(&st);
-            }
-            (log, stats)
-        }
+    let (outer, inner) = (&g.enc.outer, &g.enc.inner);
+    let sweep_cell = |w: &mut OpWorker, i: usize| -> Vec<Tuple> {
+        let c = cells[i];
+        w.rc.gather(outer, &g.r_cells[c]);
+        w.sc.gather(inner, &g.s_cells[c]);
+        let (rc, sc) = (&w.rc, &w.sc);
+        let st = tracked_sweep(
+            op,
+            Some(pred),
+            rc.input(),
+            sc.input(),
+            intervals[c / g.k],
+            |xi, yi| outer.key_id(rc.ids[xi]) == inner.key_id(sc.ids[yi]),
+            &mut w.scratch,
+            &mut w.log,
+        );
+        w.stats.merge(&st);
+        Vec::new()
     };
-    let (logs, ()) = scoped_workers(threads, items, spawn, || ())?;
-
-    // Gather: the workers' logs are unordered (cells are claimed
-    // dynamically); the sorts below restore the oracle's deterministic
-    // order independent of scheduling.
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    let mut outer_frags: Vec<Fragment> = Vec::new();
-    let mut inner_frags: Vec<Fragment> = Vec::new();
-    for (log, st) in logs {
-        pairs.extend(log.pairs);
-        outer_frags.extend(log.outer_frags);
-        inner_frags.extend(log.inner_frags);
-        counters.comparisons += st.comparisons;
-        counters.filter_checks += st.filter_checks;
-        counters.filter_hits += st.filter_hits;
-    }
-    pairs.sort_unstable();
-    counters.pairs_logged = pairs.len() as u64;
-    counters.outer_fragments = outer_frags.len() as u64;
-    counters.inner_fragments = inner_frags.len() as u64;
-    let (outer_dangling, stitched_outer) = stitch(&outer_frags, r.len());
-    let (inner_dangling, stitched_inner) = stitch(&inner_frags, s.len());
-    counters.stitched_outer = stitched_outer;
-    counters.stitched_inner = stitched_inner;
-    counters.outer_dangling = outer_dangling
-        .iter()
-        .map(|p| p.intervals().len() as u64)
-        .sum();
-    counters.inner_dangling = inner_dangling
-        .iter()
-        .map(|p| p.intervals().len() as u64)
-        .sum();
-
-    let rel = materialize(
-        r,
-        s,
-        &spec,
-        op,
-        pred,
-        &pairs,
-        &outer_dangling,
-        &inner_dangling,
-        &mut counters,
-    )?;
-    Ok((rel, counters))
-}
-
-/// As [`operator_join`], additionally assembling a schema-v10
-/// [`ExecutionReport`] whose `operator` section carries the executor's
-/// dangling/stitch/timeline counters — the CLI's `--explain` and
-/// `--stats-json` surface for the non-inner operator family.
-#[allow(clippy::too_many_arguments)]
-pub fn operator_execution_report(
-    r: &Relation,
-    s: &Relation,
-    op: &Operator,
-    pred: &JoinPredicate,
-    intervals: &[Interval],
-    key_buckets: usize,
-    threads: usize,
-) -> Result<(Relation, ExecutionReport), JoinError> {
-    let started = Instant::now();
-    let (rel, c) = operator_join(r, s, op, pred, intervals, key_buckets, threads)?;
-    let wall_micros = started.elapsed().as_micros() as u64;
-    let zero_io = IoSection {
-        random_reads: 0,
-        seq_reads: 0,
-        random_writes: 0,
-        seq_writes: 0,
-        total_ios: 0,
-        cost: 0,
-    };
-    let report = ExecutionReport {
-        algorithm: "operator".into(),
-        config: ConfigSection {
-            buffer_pages: 0,
-            random_cost: 1,
-            seed: 0,
-        },
-        result: ResultSection {
-            tuples: rel.len() as u64,
-            pages: 0,
-        },
-        io: zero_io,
-        phases: vec![PhaseSection {
-            name: "execute".into(),
-            wall_micros,
-            io: zero_io,
-            predicted_cost: None,
-        }],
-        counters: vec![
-            Counter {
-                name: "num_partitions".into(),
-                value: intervals.len() as i64,
-            },
-            Counter {
-                name: "threads_requested".into(),
-                value: threads as i64,
-            },
-            Counter {
-                name: "cpu_comparisons".into(),
-                value: c.comparisons as i64,
-            },
-        ],
-        buffer_pool: None,
-        plan: None,
-        deviation: None,
-        workers: Vec::new(),
-        skew: None,
-        kernel: None,
-        faults: None,
-        service: None,
-        predicate: if pred.is_natural() {
-            None
-        } else {
-            Some(PredicateSection {
-                predicate: pred.to_string(),
-                template: pred.template().as_str().to_owned(),
-                filter_checks: c.filter_checks,
-                filter_hits: c.filter_hits,
-                merge_pairs_scanned: 0,
-                merge_pairs_emitted: 0,
-            })
-        },
-        grid: None,
-        columnar: None,
-        operator: Some(OperatorSection {
-            op: c.op.clone(),
-            cells: c.cells,
-            workers: c.workers,
-            key_buckets: c.key_buckets,
-            pairs_logged: c.pairs_logged,
-            outer_fragments: c.outer_fragments,
-            inner_fragments: c.inner_fragments,
-            stitched_outer: c.stitched_outer,
-            stitched_inner: c.stitched_inner,
-            outer_dangling: c.outer_dangling,
-            inner_dangling: c.inner_dangling,
-            timeline_events: c.timeline_events,
-            timeline_checkpoints: c.timeline_checkpoints,
-            agg_segments: c.agg_segments,
-            fallback_nested: c.fallback_nested,
-        }),
-    };
-    Ok((rel, report))
+    let order: Vec<usize> = (0..cells.len()).collect();
+    let join_started = Instant::now();
+    let (ran, wait) = deliver(plan, &order, sink, OpWorker::default, sweep_cell)?;
+    let detail = g.detail(join_started.elapsed().as_micros() as u64, wait);
+    Ok((detail, ran, cells.len() as u64))
 }
 
 /// The matched window a partner grants one operand: the predicate stamp
@@ -398,137 +284,79 @@ fn matched_window(pred: &JoinPredicate, mine: Interval, theirs: Interval) -> Int
         .expect("a match's stamp always intersects the operand's interval")
 }
 
-/// Sequence/mixed-template fallback: a chunked nested scan over `r`,
-/// one contiguous chunk per worker. Each worker owns its `r` tuples
-/// outright (matched windows accumulate locally, dangling is computed
-/// whole — no cross-worker stitching), and inner-side coverage windows
-/// are merged at gather. Deterministic across thread counts for the same
-/// reason the merge fallback is: outputs are keyed by tuple index, not
-/// by scheduling.
-fn nested_fallback(
+/// Sequence/mixed-template path: a nested scan over `r`, one contiguous
+/// chunk per work item. Each chunk owns its `r` tuples outright (matched
+/// windows accumulate locally and dangling is computed whole — no
+/// cross-chunk stitching); inner-side coverage windows are merged at
+/// gather. Deterministic across thread counts for the same reason the
+/// merge fallback is: outputs are keyed by tuple index, not by
+/// scheduling.
+fn nested_scan(
+    plan: &ExecPlan,
+    spec: &JoinSpec,
     r: &Relation,
     s: &Relation,
-    spec: &JoinSpec,
-    op: &Operator,
-    pred: &JoinPredicate,
-    threads: usize,
-    mut counters: OperatorCounters,
-) -> Result<(Relation, OperatorCounters), JoinError> {
-    counters.fallback_nested = true;
-    let r_all: Vec<&Tuple> = r.iter().collect();
-    let s_all: Vec<&Tuple> = s.iter().collect();
-    let r_hashes: Vec<u64> = r_all.iter().map(|t| spec.outer_key_hash(t)).collect();
-    let s_hashes: Vec<u64> = s_all.iter().map(|t| spec.inner_key_hash(t)).collect();
+    sink: &mut dyn Sink,
+) -> Result<(ExecDetail, Ran, u64), JoinError> {
+    let (op, pred) = (&plan.op, &plan.predicate);
+    let hash_started = Instant::now();
+    let r_hashes: Vec<u64> = r.iter().map(|t| spec.outer_key_hash(t)).collect();
+    let s_hashes: Vec<u64> = s.iter().map(|t| spec.inner_key_hash(t)).collect();
+    let replicate_micros = hash_started.elapsed().as_micros() as u64;
     let (need_pairs, track_outer, track_inner) =
         (op.needs_pairs(), op.tracks_outer(), op.tracks_inner());
 
-    let num_workers = threads.max(1).min(r_all.len()).max(1);
-    counters.workers = num_workers as u64;
-    let chunk_len = r_all.len().div_ceil(num_workers).max(1);
-    let ranges: Vec<(usize, usize)> = (0..num_workers)
-        .map(|w| (w * chunk_len, ((w + 1) * chunk_len).min(r_all.len())))
-        .collect();
-
-    let spawn = |w: usize| {
-        let (lo, hi) = ranges[w];
-        let (r_all, s_all) = (&r_all, &s_all);
-        let (r_hashes, s_hashes) = (&r_hashes, &s_hashes);
-        move || {
-            let mut log = OperatorLog::default();
-            let mut stats = TrackedStats::default();
-            for xi in lo..hi {
-                let x = r_all[xi];
-                let mut matched = Period::new();
-                for (yi, y) in s_all.iter().enumerate() {
-                    if r_hashes[xi] != s_hashes[yi] || !spec.keys_equal(x, y) {
-                        continue;
-                    }
-                    stats.comparisons += 1;
-                    stats.filter_checks += 1;
-                    if !pred.matches(x.valid(), y.valid()) {
-                        continue;
-                    }
-                    stats.filter_hits += 1;
-                    if need_pairs {
-                        log.pairs.push((xi as u32, yi as u32));
-                        stats.pairs_logged += 1;
-                    }
-                    if track_outer {
-                        matched.insert(matched_window(pred, x.valid(), y.valid()));
-                    }
-                    if track_inner {
-                        // Coverage, not dangling: the inner side is
-                        // shared across chunks, so its dangling is
-                        // computed at gather from merged coverage.
-                        log.inner_frags.push(Fragment {
-                            id: yi as u32,
-                            iv: matched_window(pred, y.valid(), x.valid()),
-                        });
-                    }
+    let chunks = outer_chunks(plan.threads, r.len());
+    let scan_chunk = |w: &mut OpWorker, c: usize| -> Vec<Tuple> {
+        for xi in chunks[c].clone() {
+            let x = &r.tuples()[xi];
+            let mut matched = Period::new();
+            for (yi, y) in s.iter().enumerate() {
+                if r_hashes[xi] != s_hashes[yi] || !spec.keys_equal(x, y) {
+                    continue;
+                }
+                w.stats.comparisons += 1;
+                w.stats.filter_checks += 1;
+                if !pred.matches(x.valid(), y.valid()) {
+                    continue;
+                }
+                w.stats.filter_hits += 1;
+                if need_pairs {
+                    w.log.pairs.push((xi as u32, yi as u32));
                 }
                 if track_outer {
-                    for iv in Period::from_interval(x.valid())
-                        .difference(&matched)
-                        .intervals()
-                    {
-                        log.outer_frags.push(Fragment {
-                            id: xi as u32,
-                            iv: *iv,
-                        });
-                        stats.outer_fragments += 1;
-                    }
+                    matched.insert(matched_window(pred, x.valid(), y.valid()));
+                }
+                if track_inner {
+                    // Coverage, not dangling: the inner side is shared
+                    // across chunks, so its dangling is computed at
+                    // gather from merged coverage.
+                    w.log.inner_frags.push(Fragment {
+                        id: yi as u32,
+                        iv: matched_window(pred, y.valid(), x.valid()),
+                    });
                 }
             }
-            (log, stats)
+            if track_outer {
+                for iv in Period::from_interval(x.valid())
+                    .difference(&matched)
+                    .intervals()
+                {
+                    w.log.outer_frags.push(Fragment {
+                        id: xi as u32,
+                        iv: *iv,
+                    });
+                }
+            }
         }
+        Vec::new()
     };
-    let (logs, ()) = scoped_workers(threads, ranges.len(), spawn, || ())?;
-
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    let mut outer_frags: Vec<Fragment> = Vec::new();
-    let mut inner_cov: Vec<Fragment> = Vec::new();
-    for (log, st) in logs {
-        pairs.extend(log.pairs);
-        outer_frags.extend(log.outer_frags);
-        inner_cov.extend(log.inner_frags);
-        counters.comparisons += st.comparisons;
-        counters.filter_checks += st.filter_checks;
-        counters.filter_hits += st.filter_hits;
-    }
-    pairs.sort_unstable();
-    counters.pairs_logged = pairs.len() as u64;
-    counters.outer_fragments = outer_frags.len() as u64;
-    let (outer_dangling, _) = stitch(&outer_frags, r.len());
-    let mut inner_dangling: Vec<Period> =
-        std::iter::repeat_with(Period::new).take(s.len()).collect();
-    if track_inner {
-        let (matched, _) = stitch(&inner_cov, s.len());
-        for (yi, y) in s_all.iter().enumerate() {
-            inner_dangling[yi] = Period::from_interval(y.valid()).difference(&matched[yi]);
-        }
-    }
-    counters.outer_dangling = outer_dangling
-        .iter()
-        .map(|p| p.intervals().len() as u64)
-        .sum();
-    counters.inner_dangling = inner_dangling
-        .iter()
-        .map(|p| p.intervals().len() as u64)
-        .sum();
-    counters.inner_fragments = counters.inner_dangling;
-
-    let rel = materialize(
-        r,
-        s,
-        spec,
-        op,
-        pred,
-        &pairs,
-        &outer_dangling,
-        &inner_dangling,
-        &mut counters,
-    )?;
-    Ok((rel, counters))
+    let order: Vec<usize> = (0..chunks.len()).collect();
+    let join_started = Instant::now();
+    let (ran, _) = deliver(plan, &order, sink, OpWorker::default, scan_chunk)?;
+    let join_micros = join_started.elapsed().as_micros() as u64;
+    let detail = chunk_detail(r, s, &chunks, replicate_micros, join_micros);
+    Ok((detail, ran, 0))
 }
 
 /// Replays the oracle's output order from the gathered pairs and stitched
@@ -555,7 +383,7 @@ fn materialize(
     pairs: &[(u32, u32)],
     outer_dangling: &[Period],
     inner_dangling: &[Period],
-    counters: &mut OperatorCounters,
+    section: &mut OperatorSection,
 ) -> Result<Relation, JoinError> {
     match op {
         Operator::Inner | Operator::Left | Operator::Full => {
@@ -568,17 +396,16 @@ fn materialize(
                     out.push(spec.splice(x, y, pred.stamp(x.valid(), y.valid())));
                     pi += 1;
                 }
-                if !matches!(op, Operator::Inner) {
-                    if let Some((last, rest)) = outer_dangling[xid].intervals().split_last() {
-                        let mut vals = Vec::with_capacity(arity);
-                        vals.extend_from_slice(x.values());
-                        vals.resize(arity, Value::Null);
-                        let padded = Tuple::new(vals, *last);
-                        for iv in rest {
-                            out.push(padded.with_valid(*iv));
-                        }
-                        out.push(padded.into_with_valid(*last));
+                // Empty unless the operator tracks the outer side.
+                if let Some((last, rest)) = outer_dangling[xid].intervals().split_last() {
+                    let mut vals = Vec::with_capacity(arity);
+                    vals.extend_from_slice(x.values());
+                    vals.resize(arity, Value::Null);
+                    let padded = Tuple::new(vals, *last);
+                    for iv in rest {
+                        out.push(padded.with_valid(*iv));
                     }
+                    out.push(padded.into_with_valid(*last));
                 }
             }
             if matches!(op, Operator::Full) {
@@ -677,14 +504,14 @@ fn materialize(
                 })
                 .collect();
             let ti = TimelineIndex::build(rows);
-            counters.timeline_events = ti.events() as u64;
-            counters.timeline_checkpoints = ti.checkpoints() as u64;
+            section.timeline_events = ti.events() as u64;
+            section.timeline_checkpoints = ti.checkpoints() as u64;
             let segs = match f {
                 AggFunc::Count | AggFunc::Sum(_) => ti.segments_sum(),
                 AggFunc::Min(_) => ti.segments_extremum(Extremum::Min),
                 AggFunc::Max(_) => ti.segments_extremum(Extremum::Max),
             };
-            counters.agg_segments = segs.len() as u64;
+            section.agg_segments = segs.len() as u64;
             Ok(segments_to_relation(&segs))
         }
     }
@@ -693,12 +520,58 @@ fn materialize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::{run, MaterializeSink, StreamSink};
     use vtjoin_core::algebra::{
         antijoin_pred, count_over_time, extremum_over_time, full_outerjoin_pred, outerjoin_pred,
         predicate_join, semijoin_pred, sum_over_time, JoinSide,
     };
     use vtjoin_core::{AttrDef, Schema};
     use vtjoin_join::partition::intervals::equal_width;
+    use vtjoin_join::partition::GridPlan;
+    use vtjoin_obs::ExecutionReport;
+    use vtjoin_storage::PagePool;
+
+    /// [`run`] with `op` over a `key_buckets` × `intervals` grid: the
+    /// result and, for a non-inner operator, its operator section.
+    fn op_run(
+        r: &Relation,
+        s: &Relation,
+        op: &Operator,
+        pred: &JoinPredicate,
+        intervals: &[Interval],
+        key_buckets: u64,
+        threads: usize,
+    ) -> Result<(Relation, Option<OperatorSection>), JoinError> {
+        let grid = GridPlan {
+            key_buckets,
+            intervals: intervals.to_vec(),
+        };
+        let plan = ExecPlan {
+            predicate: *pred,
+            op: op.clone(),
+            ..ExecPlan::new(grid, threads)
+        };
+        let mut out = MaterializeSink::default();
+        let report = run(&plan, r, s, &mut out)?;
+        Ok((out.into_relation(), report.operator))
+    }
+
+    /// As [`op_run`] for a non-inner operator, unwrapping both.
+    fn op_join(
+        r: &Relation,
+        s: &Relation,
+        op: &Operator,
+        pred: &JoinPredicate,
+        intervals: &[Interval],
+        key_buckets: u64,
+        threads: usize,
+    ) -> (Relation, OperatorSection) {
+        let (got, section) = op_run(r, s, op, pred, intervals, key_buckets, threads).unwrap();
+        (
+            got,
+            section.expect("non-inner runs carry an operator section"),
+        )
+    }
 
     fn emp() -> Arc<Schema> {
         Schema::new(vec![
@@ -763,7 +636,6 @@ mod tests {
             for threads in [1usize, 3] {
                 let ctx = |name: &str| format!("{name} parts={parts} threads={threads}");
                 let cases: Vec<(Operator, Relation)> = vec![
-                    (Operator::Inner, predicate_join(&r, &s, &pred).unwrap()),
                     (
                         Operator::Left,
                         outerjoin_pred(&r, &s, JoinSide::Left, &pred).unwrap(),
@@ -773,11 +645,22 @@ mod tests {
                     (Operator::Anti, antijoin_pred(&r, &s, &pred).unwrap()),
                 ];
                 for (op, want) in cases {
-                    let (got, counters) =
-                        operator_join(&r, &s, &op, &pred, &intervals, 4, threads).unwrap();
+                    let (got, section) = op_join(&r, &s, &op, &pred, &intervals, 4, threads);
                     assert_identical(&got, &want, &ctx(&op.to_string()));
-                    assert!(!counters.fallback_nested);
+                    assert!(!section.fallback_nested);
                 }
+            }
+            // The inner join runs the columnar kernels: the oracle
+            // multiset, byte-identical at every thread count, with no
+            // operator section.
+            let want = predicate_join(&r, &s, &pred).unwrap();
+            let inner = |threads| op_run(&r, &s, &Operator::Inner, &pred, &intervals, 4, threads);
+            let (serial, section) = inner(1).unwrap();
+            assert!(serial.multiset_eq(&want), "inner parts={parts}");
+            assert!(section.is_none());
+            for threads in [2usize, 4] {
+                let (got, _) = inner(threads).unwrap();
+                assert_eq!(got.tuples(), serial.tuples(), "inner threads={threads}");
             }
         }
     }
@@ -805,10 +688,10 @@ mod tests {
         ];
         for (f, want_segs) in cases {
             let op = Operator::Aggregate(f.clone());
-            let (got, counters) = operator_join(&r, &s, &op, &pred, &intervals, 4, 2).unwrap();
+            let (got, section) = op_join(&r, &s, &op, &pred, &intervals, 4, 2);
             let want = segments_to_relation(&want_segs);
             assert_identical(&got, &want, &format!("aggregate:{f}"));
-            assert_eq!(counters.timeline_events as usize, {
+            assert_eq!(section.timeline_events as usize, {
                 let open_tails = joined
                     .iter()
                     .filter(|t| t.valid().end() == Chronon::MAX)
@@ -825,7 +708,7 @@ mod tests {
         let intervals = [Interval::ALL];
         let unknown = Operator::Aggregate(AggFunc::Sum("nope".into()));
         assert!(matches!(
-            operator_join(&r, &s, &unknown, &pred, &intervals, 1, 1),
+            op_run(&r, &s, &unknown, &pred, &intervals, 1, 1),
             Err(JoinError::Core(TemporalError::UnknownAttribute(_)))
         ));
     }
@@ -835,8 +718,8 @@ mod tests {
         let (r, s) = workload();
         let pred = JoinPredicate::intersects();
         let intervals = equal_width(Interval::from_raw(0, 140).unwrap(), 3);
-        let (semi, _) = operator_join(&r, &s, &Operator::Semi, &pred, &intervals, 4, 2).unwrap();
-        let (anti, _) = operator_join(&r, &s, &Operator::Anti, &pred, &intervals, 4, 2).unwrap();
+        let (semi, _) = op_join(&r, &s, &Operator::Semi, &pred, &intervals, 4, 2);
+        let (anti, _) = op_join(&r, &s, &Operator::Anti, &pred, &intervals, 4, 2);
         // Per r tuple: the union of its semi and anti windows is exactly
         // its own interval.
         for (xid, x) in r.iter().enumerate() {
@@ -868,9 +751,8 @@ mod tests {
             (Operator::Anti, antijoin_pred(&r, &s, &pred).unwrap()),
         ] {
             for threads in [1usize, 4] {
-                let (got, counters) =
-                    operator_join(&r, &s, &op, &pred, &intervals, 4, threads).unwrap();
-                assert!(counters.fallback_nested);
+                let (got, section) = op_join(&r, &s, &op, &pred, &intervals, 4, threads);
+                assert!(section.fallback_nested);
                 assert_identical(&got, &want, &format!("{op} fallback threads={threads}"));
             }
         }
@@ -890,7 +772,7 @@ mod tests {
         .unwrap();
         let s = Relation::new(mgr(), Vec::new()).unwrap();
         let intervals = equal_width(Interval::from_raw(0, 99).unwrap(), 4);
-        let (got, counters) = operator_join(
+        let (got, section) = op_join(
             &r,
             &s,
             &Operator::Anti,
@@ -898,11 +780,10 @@ mod tests {
             &intervals,
             1,
             2,
-        )
-        .unwrap();
-        assert_eq!(counters.outer_fragments, 4);
-        assert_eq!(counters.stitched_outer, 3);
-        assert_eq!(counters.outer_dangling, 1);
+        );
+        assert_eq!(section.outer_fragments, 4);
+        assert_eq!(section.stitched_outer, 3);
+        assert_eq!(section.outer_dangling, 1);
         assert_eq!(got.tuples().len(), 1);
         assert_eq!(got.tuples()[0].valid(), Interval::from_raw(0, 99).unwrap());
     }
@@ -912,7 +793,7 @@ mod tests {
         let (r, s) = workload();
         let bad = [Interval::from_raw(0, 10).unwrap()];
         assert!(matches!(
-            operator_join(
+            op_run(
                 &r,
                 &s,
                 &Operator::Left,
@@ -923,5 +804,67 @@ mod tests {
             ),
             Err(JoinError::Precondition(_))
         ));
+    }
+
+    #[test]
+    fn operator_reports_carry_the_run_sections_and_round_trip() {
+        let (r, s) = workload();
+        let grid = GridPlan::with_buckets(2, equal_width(Interval::from_raw(0, 140).unwrap(), 4));
+        let plan = ExecPlan {
+            op: Operator::Full,
+            ..ExecPlan::new(grid, 2)
+        };
+        let mut out = MaterializeSink::default();
+        let report = run(&plan, &r, &s, &mut out).unwrap();
+        let got = out.into_relation();
+        assert_eq!(report.result.tuples, got.len() as u64);
+        let o = report.operator.as_ref().expect("operator section");
+        assert_eq!(o.workers, report.workers.len() as u64);
+        // Every claimed item is a cell that ran a tracked sweep.
+        assert_eq!(
+            report.workers.iter().map(|w| w.partitions).sum::<u64>(),
+            o.cells
+        );
+        let g = report.grid.as_ref().expect("grid section");
+        assert_eq!((g.key_buckets, g.cells), (2, 8));
+        assert!(o.cells <= g.cells);
+        assert_eq!(report.skew.as_ref().map(|sk| sk.partitions), Some(8));
+        assert!(report.counter("cpu_comparisons").unwrap() > 0);
+        assert!(report.kernel.is_none() && report.columnar.is_none());
+        let back = ExecutionReport::from_json_str(&report.to_json_string()).unwrap();
+        assert_eq!(back, report);
+    }
+
+    #[test]
+    fn operator_results_reach_either_sink_as_one_batch_and_release_shards() {
+        let (r, s) = workload();
+        let intervals = equal_width(Interval::from_raw(0, 140).unwrap(), 4);
+        for pred in ["intersects", "before"] {
+            for op in [
+                Operator::Left,
+                Operator::Anti,
+                Operator::Aggregate(AggFunc::Count),
+            ] {
+                let pool = PagePool::new(64);
+                let plan = ExecPlan {
+                    predicate: pred.parse().unwrap(),
+                    op: op.clone(),
+                    shard_pool: Some((pool.clone(), 4)),
+                    ..ExecPlan::new(GridPlan::with_buckets(2, intervals.clone()), 3)
+                };
+                let mut out = MaterializeSink::default();
+                run(&plan, &r, &s, &mut out).unwrap();
+                let want = out.into_relation();
+                assert!(!want.is_empty(), "{op} {pred}");
+                let mut batches: Vec<Vec<Tuple>> = Vec::new();
+                let mut push = |b: Vec<Tuple>| batches.push(b);
+                run(&plan, &r, &s, &mut StreamSink::new(&mut push)).unwrap();
+                assert_eq!(batches, vec![want.tuples().to_vec()], "{op} {pred}");
+                let st = pool.stats();
+                assert!(st.granted > 0, "{op} {pred}");
+                assert_eq!(st.granted, st.released, "{op} {pred}");
+                assert_eq!(pool.in_flight(), 0, "{op} {pred}");
+            }
+        }
     }
 }

@@ -16,12 +16,15 @@
 //! axis yields the paper's partition order.
 //!
 //! **One executor.** An [`ExecPlan`] names the grid, the kernel policy,
-//! the predicate, the worker count and an optional shard pool; [`run`]
-//! executes it and hands the result to a [`Sink`] — [`MaterializeSink`]
-//! collects one relation, [`StreamSink`] forwards each cell's batch as
-//! soon as it is complete and next in order. Both sinks see the same
-//! batches in the same order, so a stream concatenates to exactly the
-//! materialized relation.
+//! the predicate, the operator, the worker count and an optional shard
+//! pool; [`run`] executes it and hands the result to a [`Sink`] —
+//! [`MaterializeSink`] collects one relation, [`StreamSink`] forwards each
+//! cell's batch as soon as it is complete and next in order. Both sinks
+//! see the same batches in the same order, so a stream concatenates to
+//! exactly the materialized relation. A non-inner operator (outer, semi,
+//! anti join or temporal aggregation) runs the same scatter and work loop
+//! with the operator module's per-cell job, and reaches the sink as one
+//! batch after its gather.
 //!
 //! The cell loop (claim a cell, dispatch the kernel, late-materialize) is
 //! written once and combines four optimizations over the obvious
@@ -74,12 +77,15 @@
 //! order, so this path is also deterministic across thread counts.
 
 use std::cmp::Reverse;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
-use vtjoin_core::{Interval, JoinPredicate, Relation, Schema, Tuple};
-use vtjoin_join::columnar::{encode_pair, ColumnarCounters, ColumnarSide, IdBatch, Layout};
+use vtjoin_core::{Interval, JoinPredicate, Operator, Relation, Schema, Tuple};
+use vtjoin_join::columnar::{
+    encode_pair, ColumnarCounters, ColumnarPair, ColumnarSide, IdBatch, Layout,
+};
 use vtjoin_join::common::JoinSpec;
 use vtjoin_join::kernel::{
     choose_kernel_ids, columnar_hash_join, columnar_sweep_join, merge_join_pred, ColumnarScratch,
@@ -90,21 +96,30 @@ use vtjoin_join::partition::GridPlan;
 use vtjoin_join::JoinError;
 use vtjoin_obs::{
     ColumnarSection, ConfigSection, Counter, ExecutionReport, GridSection, IoSection,
-    KernelSection, PhaseSection, PredicateSection, ResultSection, SkewSection, WorkerSection,
+    KernelSection, OperatorSection, PhaseSection, PredicateSection, ResultSection, SkewSection,
+    WorkerSection,
 };
 use vtjoin_storage::PagePool;
 
-/// What [`run`] executes: a grid, a kernel policy, a predicate, a worker
-/// count and an optional shard pool.
+/// What [`run`] executes: a grid, a kernel policy, a predicate, an
+/// operator, a worker count and an optional shard pool.
 #[derive(Debug, Clone)]
 pub struct ExecPlan {
     /// `grid.key_buckets` hash buckets × `grid.intervals` time ranges
     /// (the 1×N grid is time-only execution).
     pub grid: GridPlan,
-    /// Intra-cell kernel policy (ignored by the merge fallback).
+    /// Intra-cell kernel policy of the inner join (ignored by the merge
+    /// fallback and by non-inner operators, whose only kernel is the
+    /// dangling-tracking sweep).
     pub kernel: KernelChoice,
     /// The temporal join predicate.
     pub predicate: JoinPredicate,
+    /// The member of the operator family to evaluate. Non-inner
+    /// operators track dangling fragments per cell (or scan nested over
+    /// outer chunks for sequence/mixed templates) and deliver their
+    /// result as one batch, byte-identical to the `vtjoin_core::algebra`
+    /// oracle.
+    pub op: Operator,
     /// Requested worker threads; `min(threads, work items)` are spawned.
     pub threads: usize,
     /// Each worker pins `pages` pages of this pool for its lifetime (the
@@ -121,6 +136,7 @@ impl ExecPlan {
             grid,
             kernel: KernelChoice::Auto,
             predicate: JoinPredicate::intersects(),
+            op: Operator::Inner,
             threads,
             shard_pool: None,
         }
@@ -173,7 +189,8 @@ impl Sink for MaterializeSink {
 
     fn push(&mut self, batch: Vec<Tuple>) {
         // Nothing reserved means this batch is the whole result (one merge
-        // chunk or one occupied cell): adopt it instead of copying it.
+        // chunk, one occupied cell or an operator's gathered result):
+        // adopt it instead of copying it.
         if self.tuples.capacity() == 0 {
             self.tuples = batch;
         } else {
@@ -281,11 +298,7 @@ where
 /// Leung–Muntz `replica_range` over the inline chronon columns — so a row
 /// replicates only along the time axis, landing in `i * k + b` for each
 /// overlapped time range `i`. With one bucket the hash is not read.
-pub(crate) fn scatter_rows(
-    side: &ColumnarSide<'_>,
-    intervals: &[Interval],
-    k: usize,
-) -> Vec<Vec<u32>> {
+fn scatter_rows(side: &ColumnarSide<'_>, intervals: &[Interval], k: usize) -> Vec<Vec<u32>> {
     let mut cells: Vec<Vec<u32>> = vec![Vec::new(); intervals.len() * k];
     let mask = k as u64 - 1;
     for row in 0..side.len() as u32 {
@@ -303,38 +316,48 @@ pub(crate) fn scatter_rows(
 
 /// Everything a run measured beyond the result itself; rendered by
 /// [`build_report`].
-struct ExecDetail {
-    workers: Vec<WorkerSection>,
+#[derive(Default)]
+pub(crate) struct ExecDetail {
+    pub(crate) workers: Vec<WorkerSection>,
     /// Per-item estimated costs (`|r_c|·|s_c|` per cell, time-major).
-    est_costs: Vec<u64>,
+    pub(crate) est_costs: Vec<u64>,
     /// Total tuple references after replication, per input side.
-    replicated_r: u64,
-    replicated_s: u64,
+    pub(crate) replicated_r: u64,
+    pub(crate) replicated_s: u64,
     /// `|r| + |s|` before replication (replication-factor denominator).
-    input_tuples: u64,
+    pub(crate) input_tuples: u64,
     /// Grid shape the run executed (1 × N for the time-only surface).
-    key_buckets: u64,
+    pub(crate) key_buckets: u64,
+    /// Result tuples delivered to the sink.
+    pub(crate) tuples: u64,
     /// Aggregated hash-kernel probe/match-test counters across all cells.
-    probes: u64,
-    match_tests: u64,
-    /// Per-kernel accounting, merged across workers.
-    kernel: KernelCounters,
+    pub(crate) probes: u64,
+    pub(crate) match_tests: u64,
+    /// Per-kernel accounting, merged across workers; `None` when no inner
+    /// cell kernel ran (the report then carries no `kernel` section).
+    pub(crate) kernel: Option<KernelCounters>,
     /// Predicate-filter / merge-fallback accounting, merged across
     /// workers; all-zero for the natural join.
-    predicate: PredicateCounters,
+    pub(crate) predicate: PredicateCounters,
     /// Wall-clock of the replicate and join phases, in microseconds.
-    replicate_micros: u64,
-    join_micros: u64,
+    pub(crate) replicate_micros: u64,
+    pub(crate) join_micros: u64,
     /// Wall-clock the coordinator spent gathering worker results, in
     /// microseconds.
-    coordinator_wait_micros: u64,
+    pub(crate) coordinator_wait_micros: u64,
     /// Columnar-path accounting; `None` for merge-fallback runs (the
     /// report then carries no `columnar` section).
-    columnar: Option<ColumnarCounters>,
+    pub(crate) columnar: Option<ColumnarCounters>,
+    /// Candidate comparisons of the operator family's tracked sweep or
+    /// nested scan (reported only with an operator section).
+    pub(crate) comparisons: u64,
+    /// The operator family's accounting; `None` for the inner join.
+    pub(crate) operator: Option<OperatorSection>,
 }
 
-/// Joins `r ⋈ᵛ s` as `plan` says and delivers the result to `sink`,
-/// returning the run's [`ExecutionReport`] (algorithm `"parallel"`).
+/// Evaluates `r ⟨plan.op⟩ᵛ s` as `plan` says and delivers the result to
+/// `sink`, returning the run's [`ExecutionReport`] (algorithm
+/// `"parallel"`).
 ///
 /// The 1×N grid is time-only execution; a K×N grid orders output
 /// time-major by cell but is deterministic at every thread count and
@@ -360,6 +383,12 @@ struct ExecDetail {
 /// accounting. Non-natural runs add a `predicate` section; merge-fallback
 /// runs carry no `kernel`, `grid` or `columnar` section, since no cell
 /// kernel is invoked.
+///
+/// Non-inner operators add an `operator` section (pairs logged, dangling
+/// fragments before and after the stitch, timeline counters) and a
+/// `cpu_comparisons` counter, and carry no `kernel` or `columnar`
+/// section; their result reaches `sink` as one batch after the gather,
+/// so their worker sections count no tuples.
 pub fn run(
     plan: &ExecPlan,
     r: &Relation,
@@ -375,6 +404,10 @@ pub fn run(
         ));
     }
     let spec = JoinSpec::natural(r.schema(), s.schema())?;
+    if !plan.op.is_inner() {
+        let detail = crate::operator::run_operator(plan, &spec, r, s, sink)?;
+        return Ok(build_report(detail, plan));
+    }
     sink.open(spec.out_schema());
     // Sequence/mixed templates cannot be served by time partitioning (a
     // matching pair may share no partition); they run the merge fallback.
@@ -422,8 +455,67 @@ struct CellWorker {
     cost_total: u64,
 }
 
-/// The grid path: encode both relations struct-of-arrays **once**
-/// ([`encode_pair`]), scatter row ids into cells, and join the cells
+/// Both relations encoded struct-of-arrays **once** ([`encode_pair`])
+/// and their row ids scattered into the grid's cells: the front half of
+/// every grid run, inner join or operator.
+pub(crate) struct Scattered<'a> {
+    pub(crate) enc: ColumnarPair<'a>,
+    pub(crate) r_cells: Vec<Vec<u32>>,
+    pub(crate) s_cells: Vec<Vec<u32>>,
+    /// Key buckets: the grid's count rounded up to a power of two.
+    pub(crate) k: usize,
+    /// Estimated cost `|r_c|·|s_c|` per cell, time-major.
+    pub(crate) est_costs: Vec<u64>,
+    replicate_micros: u64,
+}
+
+impl<'a> Scattered<'a> {
+    pub(crate) fn new(
+        plan: &ExecPlan,
+        spec: &JoinSpec,
+        r: &'a Relation,
+        s: &'a Relation,
+    ) -> Scattered<'a> {
+        let intervals = &plan.grid.intervals;
+        let k = plan.grid.key_buckets.max(1).next_power_of_two() as usize;
+        let started = Instant::now();
+        let enc = encode_pair(spec, r.iter(), s.iter());
+        let r_cells = scatter_rows(&enc.outer, intervals, k);
+        let s_cells = scatter_rows(&enc.inner, intervals, k);
+        let replicate_micros = started.elapsed().as_micros() as u64;
+        let est_costs = r_cells
+            .iter()
+            .zip(&s_cells)
+            .map(|(rc, sc)| rc.len() as u64 * sc.len() as u64)
+            .collect();
+        Scattered {
+            enc,
+            r_cells,
+            s_cells,
+            k,
+            est_costs,
+            replicate_micros,
+        }
+    }
+
+    /// The detail of a run over these cells, before its workers' own
+    /// sections and counters are added.
+    pub(crate) fn detail(&self, join_micros: u64, coordinator_wait_micros: u64) -> ExecDetail {
+        ExecDetail {
+            est_costs: self.est_costs.clone(),
+            replicated_r: self.r_cells.iter().map(|p| p.len() as u64).sum(),
+            replicated_s: self.s_cells.iter().map(|p| p.len() as u64).sum(),
+            input_tuples: (self.enc.outer.len() + self.enc.inner.len()) as u64,
+            key_buckets: self.k as u64,
+            replicate_micros: self.replicate_micros,
+            join_micros,
+            coordinator_wait_micros,
+            ..ExecDetail::default()
+        }
+    }
+}
+
+/// The grid path of the inner join: scatter, then join the cells
 /// heaviest-first through [`deliver`].
 fn run_cells(
     plan: &ExecPlan,
@@ -432,26 +524,14 @@ fn run_cells(
     s: &Relation,
     sink: &mut dyn Sink,
 ) -> Result<ExecDetail, JoinError> {
-    let intervals = &plan.grid.intervals;
-    let k = plan.grid.key_buckets.max(1).next_power_of_two() as usize;
-    let n_cells = intervals.len() * k;
-    let pred = &plan.predicate;
-
-    let replicate_started = Instant::now();
-    let enc = encode_pair(spec, r.iter(), s.iter());
-    let r_cells = scatter_rows(&enc.outer, intervals, k);
-    let s_cells = scatter_rows(&enc.inner, intervals, k);
-    let replicate_micros = replicate_started.elapsed().as_micros() as u64;
-
-    let est_costs: Vec<u64> = (0..n_cells)
-        .map(|c| r_cells[c].len() as u64 * s_cells[c].len() as u64)
-        .collect();
+    let g = Scattered::new(plan, spec, r, s);
+    let (intervals, k, pred) = (&plan.grid.intervals, g.k, &plan.predicate);
     // Heaviest cells first, so the work-stealing tail is short.
-    let mut order: Vec<usize> = (0..n_cells).collect();
-    order.sort_by_key(|&c| Reverse(est_costs[c]));
+    let mut order: Vec<usize> = (0..g.est_costs.len()).collect();
+    order.sort_by_key(|&c| Reverse(g.est_costs[c]));
 
     let join_cell = |w: &mut CellWorker, c: usize| -> Vec<Tuple> {
-        let (rc, sc) = (&r_cells[c], &s_cells[c]);
+        let (rc, sc) = (&g.r_cells[c], &g.s_cells[c]);
         if rc.is_empty() || sc.is_empty() {
             return Vec::new();
         }
@@ -460,7 +540,7 @@ fn run_cells(
         // where the overlap's endpoint falls (the canonical-cell rule).
         let window = intervals[c / k];
         let est = if w.cost_total > 0 {
-            ((w.emitted_total as u128 * est_costs[c] as u128 / w.cost_total as u128) as usize)
+            ((w.emitted_total as u128 * g.est_costs[c] as u128 / w.cost_total as u128) as usize)
                 .max(16)
         } else {
             // First cell: no ratio yet; a side's size is the output floor
@@ -468,7 +548,7 @@ fn run_cells(
             rc.len().max(sc.len())
         };
         w.batch.begin(est);
-        let (o, i) = (&enc.outer, &enc.inner);
+        let (o, i) = (&g.enc.outer, &g.enc.inner);
         match choose_kernel_ids(plan.kernel, o, rc, i, sc) {
             KernelKind::Hash => {
                 let hs =
@@ -490,7 +570,7 @@ fn run_cells(
             }
         }
         w.emitted_total += w.batch.len() as u64;
-        w.cost_total += est_costs[c];
+        w.cost_total += g.est_costs[c];
         // The late-materialization pass: one splice per buffered pair,
         // once per cell, straight into the exact-sized cell vector.
         let mut out = Vec::with_capacity(w.batch.len());
@@ -501,45 +581,66 @@ fn run_cells(
     let join_started = Instant::now();
     let (ran, coordinator_wait_micros) =
         deliver(plan, &order, sink, CellWorker::default, join_cell)?;
-    let join_micros = join_started.elapsed().as_micros() as u64;
-
-    let mut detail = ExecDetail {
-        workers: Vec::with_capacity(ran.len()),
-        replicated_r: r_cells.iter().map(|p| p.len() as u64).sum(),
-        replicated_s: s_cells.iter().map(|p| p.len() as u64).sum(),
-        input_tuples: r.len() as u64 + s.len() as u64,
-        key_buckets: k as u64,
-        est_costs,
-        probes: 0,
-        match_tests: 0,
-        kernel: KernelCounters::default(),
-        predicate: PredicateCounters::default(),
-        replicate_micros,
-        join_micros,
+    let mut detail = g.detail(
+        join_started.elapsed().as_micros() as u64,
         coordinator_wait_micros,
-        columnar: None,
-    };
+    );
+    let mut kernel = KernelCounters::default();
     // Encode-time figures live on the pair, not the workers.
     let mut columnar = ColumnarCounters {
-        encode_micros: enc.encode_micros,
-        dict_size: enc.dict_size,
+        encode_micros: g.enc.encode_micros,
+        dict_size: g.enc.dict_size,
         ..ColumnarCounters::default()
     };
     for (section, mut w) in ran {
         w.kernel.batches_flushed = w.batch.batches_flushed();
+        detail.tuples += section.tuples;
         detail.workers.push(section);
         detail.probes += w.probes;
         detail.match_tests += w.match_tests;
-        detail.kernel.merge(w.kernel);
+        kernel.merge(w.kernel);
         detail.predicate.merge(w.predicate);
         columnar.merge(w.columnar);
     }
+    detail.kernel = Some(kernel);
     detail.columnar = Some(columnar);
     Ok(detail)
 }
 
+/// The contiguous outer chunks a chunked run splits `n` outer tuples
+/// into, one work item each: `min(threads, n)` chunks of equal length
+/// (the last one may be shorter; none when `n` is 0).
+pub(crate) fn outer_chunks(threads: usize, n: usize) -> Vec<Range<usize>> {
+    let len = n.div_ceil(threads.max(1).min(n).max(1)).max(1);
+    (0..n)
+        .step_by(len)
+        .map(|lo| lo..(lo + len).min(n))
+        .collect()
+}
+
+/// The detail of a chunked run (no replication: each chunk meets all of
+/// `s`), before its workers' own sections and counters are added.
+pub(crate) fn chunk_detail(
+    r: &Relation,
+    s: &Relation,
+    chunks: &[Range<usize>],
+    replicate_micros: u64,
+    join_micros: u64,
+) -> ExecDetail {
+    ExecDetail {
+        est_costs: chunks.iter().map(|c| (c.len() * s.len()) as u64).collect(),
+        replicated_r: r.len() as u64,
+        replicated_s: s.len() as u64,
+        input_tuples: (r.len() + s.len()) as u64,
+        key_buckets: 1,
+        replicate_micros,
+        join_micros,
+        ..ExecDetail::default()
+    }
+}
+
 /// The merge fallback for sequence/mixed predicate templates: contiguous
-/// outer chunks, one work item each, each merged against the whole inner
+/// outer chunks ([`outer_chunks`]), each merged against the whole inner
 /// side by [`merge_join_pred`]. Chunks reach the sink in chunk order, so
 /// the result is outer-ordered at every thread count.
 fn run_merge(
@@ -554,49 +655,28 @@ fn run_merge(
     let s_all: Vec<&Tuple> = s.iter().collect();
     let replicate_micros = gather_started.elapsed().as_micros() as u64;
 
-    let num_workers = plan.threads.max(1).min(r_all.len()).max(1);
-    let chunk_len = r_all.len().div_ceil(num_workers).max(1);
-    let chunks: Vec<&[&Tuple]> = r_all.chunks(chunk_len).collect();
-    let est_costs: Vec<u64> = chunks
-        .iter()
-        .map(|c| c.len() as u64 * s_all.len() as u64)
-        .collect();
-    let order: Vec<usize> = (0..chunks.len()).collect();
-
+    let chunks = outer_chunks(plan.threads, r_all.len());
     let merge_chunk = |pc: &mut PredicateCounters, c: usize| -> Vec<Tuple> {
+        let chunk = &r_all[chunks[c].clone()];
         let mut batch = OutputBatch::new();
-        batch.begin(chunks[c].len().max(16));
-        let stats = merge_join_pred(spec, &plan.predicate, chunks[c], &s_all, &mut batch);
+        batch.begin(chunk.len().max(16));
+        let stats = merge_join_pred(spec, &plan.predicate, chunk, &s_all, &mut batch);
         pc.merge_pairs_scanned += stats.pairs_scanned;
         pc.merge_pairs_emitted += stats.pairs_emitted;
         batch.take()
     };
+    let order: Vec<usize> = (0..chunks.len()).collect();
     let join_started = Instant::now();
     let (ran, _) = deliver(plan, &order, sink, PredicateCounters::default, merge_chunk)?;
     let join_micros = join_started.elapsed().as_micros() as u64;
 
-    let mut predicate = PredicateCounters::default();
-    let mut workers = Vec::with_capacity(ran.len());
+    let mut detail = chunk_detail(r, s, &chunks, replicate_micros, join_micros);
     for (section, pc) in ran {
-        workers.push(section);
-        predicate.merge(pc);
+        detail.tuples += section.tuples;
+        detail.workers.push(section);
+        detail.predicate.merge(pc);
     }
-    Ok(ExecDetail {
-        workers,
-        replicated_r: r_all.len() as u64,
-        replicated_s: s_all.len() as u64,
-        input_tuples: r_all.len() as u64 + s_all.len() as u64,
-        key_buckets: 1,
-        est_costs,
-        probes: 0,
-        match_tests: 0,
-        kernel: KernelCounters::default(),
-        predicate,
-        replicate_micros,
-        join_micros,
-        coordinator_wait_micros: 0,
-        columnar: None,
-    })
+    Ok(detail)
 }
 
 /// Cell result on its way to the reorder window.
@@ -611,7 +691,7 @@ type Finished = (usize, Vec<Tuple>);
 ///
 /// Returns each worker's report section with its final job state, plus
 /// the coordinator's gather wait in microseconds.
-fn deliver<W: Send>(
+pub(crate) fn deliver<W: Send>(
     plan: &ExecPlan,
     order: &[usize],
     sink: &mut dyn Sink,
@@ -778,6 +858,18 @@ fn build_report(detail: ExecDetail, plan: &ExecPlan) -> ExecutionReport {
         name: name.into(),
         value: value as i64,
     };
+    let mut counters = vec![
+        counter("num_partitions", intervals.len() as u64),
+        counter("threads_requested", plan.threads as u64),
+        counter("workers", detail.workers.len() as u64),
+        counter("replicated_r_tuples", detail.replicated_r),
+        counter("replicated_s_tuples", detail.replicated_s),
+        counter("cpu_probes", detail.probes),
+        counter("cpu_match_tests", detail.match_tests),
+    ];
+    if detail.operator.is_some() {
+        counters.push(counter("cpu_comparisons", detail.comparisons));
+    }
     ExecutionReport {
         algorithm: "parallel".into(),
         config: ConfigSection {
@@ -786,7 +878,7 @@ fn build_report(detail: ExecDetail, plan: &ExecPlan) -> ExecutionReport {
             seed: 0,
         },
         result: ResultSection {
-            tuples: detail.workers.iter().map(|w| w.tuples).sum(),
+            tuples: detail.tuples,
             pages: 0,
         },
         io: zero_io,
@@ -804,25 +896,17 @@ fn build_report(detail: ExecDetail, plan: &ExecPlan) -> ExecutionReport {
                 predicted_cost: None,
             },
         ],
-        counters: vec![
-            counter("num_partitions", intervals.len() as u64),
-            counter("threads_requested", plan.threads as u64),
-            counter("workers", detail.workers.len() as u64),
-            counter("replicated_r_tuples", detail.replicated_r),
-            counter("replicated_s_tuples", detail.replicated_s),
-            counter("cpu_probes", detail.probes),
-            counter("cpu_match_tests", detail.match_tests),
-        ],
+        counters,
         buffer_pool: None,
         plan: None,
         deviation: None,
         workers: detail.workers,
         skew: Some(skew),
-        kernel: pred.partitioning_eligible().then_some(KernelSection {
-            hash_partitions: detail.kernel.hash_partitions,
-            sweep_partitions: detail.kernel.sweep_partitions,
-            sweep_comparisons: detail.kernel.sweep_comparisons,
-            batches_flushed: detail.kernel.batches_flushed,
+        kernel: detail.kernel.map(|k| KernelSection {
+            hash_partitions: k.hash_partitions,
+            sweep_partitions: k.sweep_partitions,
+            sweep_comparisons: k.sweep_comparisons,
+            batches_flushed: k.batches_flushed,
         }),
         faults: None,
         service: None,
@@ -841,7 +925,7 @@ fn build_report(detail: ExecDetail, plan: &ExecPlan) -> ExecutionReport {
             dict_size: c.dict_size,
             materialized_rows: c.materialized_rows,
         }),
-        operator: None,
+        operator: detail.operator,
     }
 }
 

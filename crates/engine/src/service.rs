@@ -50,8 +50,7 @@
 //! [`ExecutionReport`] with algorithm `"service"`.
 
 use crate::database::{Database, DbError, TableStats};
-use crate::operator::{operator_join, OperatorCounters};
-use crate::parallel::{run, ExecPlan, MaterializeSink, StreamSink, StreamSummary};
+use crate::parallel::{run, ExecPlan, MaterializeSink, Sink, StreamSink};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
@@ -63,7 +62,8 @@ use vtjoin_join::partition::planner::{determine_part_intervals, plan_error_size}
 use vtjoin_join::partition::{plan_grid, GridChoice, GridPlan};
 use vtjoin_join::{JoinConfig, JoinError};
 use vtjoin_obs::{
-    ConfigSection, Counter, ExecutionReport, IoSection, PhaseSection, ResultSection, ServiceSection,
+    ConfigSection, Counter, ExecutionReport, IoSection, OperatorSection, PhaseSection,
+    ResultSection, ServiceSection,
 };
 use vtjoin_storage::{
     HeapFile, IoStats, PagePool, PageReservation, ReserveError, ReserveRequest, PRIORITY_CASUAL,
@@ -158,8 +158,7 @@ pub struct SubmitOptions {
     /// Admission class.
     pub priority: Priority,
     /// Which member of the operator family to evaluate (the serve
-    /// protocol's `op=` token). Non-inner operators run the
-    /// dangling-tracking executor ([`crate::operator::operator_join`])
+    /// protocol's `op=` token, [`ExecPlan::op`]). Non-inner operators run
     /// over the same cached partition plan; they are not streamable.
     pub op: Operator,
     /// Total time the request may spend *queued for admission*. Expiry
@@ -308,10 +307,10 @@ pub struct JoinResponse {
     /// Wall-clock the request spent queued for admission, in microseconds
     /// (0 for immediate admissions).
     pub wait_micros: u64,
-    /// Dangling/stitch/timeline counters from the operator executor —
+    /// The run's operator section (dangling/stitch/timeline counters) —
     /// `Some` exactly when the request asked for a non-inner
     /// [`Operator`].
-    pub operator: Option<OperatorCounters>,
+    pub operator: Option<OperatorSection>,
 }
 
 /// One completed **streamed** join request: everything the sink was not
@@ -755,12 +754,15 @@ impl JoinService {
         // per-request error and must be counted, with the page reservation
         // released either way (RAII).
         let exec_started = Instant::now();
+        let mut out = MaterializeSink::default();
         let outcome = self.plan_and_run(
             outer, inner, pred, &opts.op, grid, &r_heap, &s_heap, &r_stats, &s_stats, pages,
+            &mut out,
         );
         drop(admit.reservation);
         match outcome {
-            Ok((result, plan, partitions, key_buckets, operator)) => {
+            Ok((report, plan, partitions, key_buckets)) => {
+                let result = out.into_relation();
                 let exec_micros = exec_started.elapsed().as_micros() as u64;
                 let mut c = self.lock_counters();
                 c.completed += 1;
@@ -775,7 +777,7 @@ impl JoinService {
                     key_buckets,
                     reserved_pages: pages,
                     wait_micros: admit.wait_micros,
-                    operator,
+                    operator: report.operator,
                 })
             }
             Err(e) => {
@@ -818,12 +820,24 @@ impl JoinService {
         let grid = opts.grid.unwrap_or(self.cfg.grid);
 
         let exec_started = Instant::now();
-        let outcome = self.plan_and_stream(
-            outer, inner, pred, grid, &r_heap, &s_heap, &r_stats, &s_stats, pages, sink,
+        let mut stream = StreamSink::new(sink);
+        let outcome = self.plan_and_run(
+            outer,
+            inner,
+            pred,
+            &opts.op,
+            grid,
+            &r_heap,
+            &s_heap,
+            &r_stats,
+            &s_stats,
+            pages,
+            &mut stream,
         );
         drop(admit.reservation);
         match outcome {
-            Ok((summary, plan, partitions, key_buckets)) => {
+            Ok((_, plan, partitions, key_buckets)) => {
+                let summary = stream.summary();
                 let exec_micros = exec_started.elapsed().as_micros() as u64;
                 let mut c = self.lock_counters();
                 c.completed += 1;
@@ -1022,9 +1036,11 @@ impl JoinService {
         Ok(rel)
     }
 
-    /// Phases 3 & 4 — plan (through the cache) and execute, materialized.
+    /// Phases 3 & 4 — plan (through the cache) and execute into `sink`.
+    /// Sequence/mixed templates plan nothing: they run over the whole of
+    /// valid time as one partition, which the executor serves by its
+    /// chunked fallback.
     #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     fn plan_and_run(
         &self,
         outer: &str,
@@ -1037,62 +1053,18 @@ impl JoinService {
         r_stats: &TableStats,
         s_stats: &TableStats,
         reserved_pages: u64,
-    ) -> Result<(Relation, PlanOutcome, u64, u64, Option<OperatorCounters>), ServiceError> {
+        sink: &mut dyn Sink,
+    ) -> Result<(ExecutionReport, PlanOutcome, u64, u64), ServiceError> {
         let (r_rel, s_rel, plan, outcome) = self.plan_phase(
             outer, inner, pred, op, grid, r_heap, s_heap, r_stats, s_stats,
         )?;
-        let Some(plan) = plan else {
-            // Sequence/mixed template: no time partitioning. The inner
-            // join takes the stream-shape merge fallback; non-inner
-            // operators run the tracked executor over the trivial
-            // partitioning (it routes to its own nested fallback).
-            if !op.is_inner() {
-                let (result, counters) = operator_join(
-                    &r_rel,
-                    &s_rel,
-                    op,
-                    pred,
-                    &[Interval::ALL],
-                    1,
-                    self.cfg.threads_per_query,
-                )
-                .map_err(ServiceError::Join)?;
-                return Ok((result, outcome, 0, 0, Some(counters)));
-            }
-            let plan = ExecPlan {
-                predicate: *pred,
-                ..ExecPlan::new(
-                    GridPlan::time_only(vec![Interval::ALL]),
-                    self.cfg.threads_per_query,
-                )
-            };
-            let mut out = MaterializeSink::default();
-            run(&plan, &r_rel, &s_rel, &mut out).map_err(ServiceError::Join)?;
-            return Ok((out.into_relation(), outcome, 0, 0, None));
-        };
-        let partitions = plan.intervals.len() as u64;
-        let key_buckets = plan.key_buckets;
-        if !op.is_inner() {
-            // Non-inner operators reuse the cached partition boundaries
-            // and key-bucket count, but execute through the
-            // dangling-tracking operator executor instead of the sharded
-            // inner-join grid.
-            let (result, counters) = operator_join(
-                &r_rel,
-                &s_rel,
-                op,
-                pred,
-                &plan.intervals,
-                key_buckets as usize,
-                self.cfg.threads_per_query,
-            )
-            .map_err(ServiceError::Join)?;
-            return Ok((result, outcome, partitions, key_buckets, Some(counters)));
-        }
-        let plan = self.exec_plan(plan, pred, reserved_pages);
-        let mut out = MaterializeSink::default();
-        run(&plan, &r_rel, &s_rel, &mut out).map_err(ServiceError::Join)?;
-        Ok((out.into_relation(), outcome, partitions, key_buckets, None))
+        let (partitions, key_buckets) = plan
+            .as_ref()
+            .map_or((0, 0), |p| (p.intervals.len() as u64, p.key_buckets));
+        let grid = plan.unwrap_or_else(|| GridPlan::time_only(vec![Interval::ALL]));
+        let plan = self.exec_plan(grid, pred, op, reserved_pages);
+        let report = run(&plan, &r_rel, &s_rel, sink).map_err(ServiceError::Join)?;
+        Ok((report, outcome, partitions, key_buckets))
     }
 
     /// The executor plan for one admitted request. Shard execution: the
@@ -1100,57 +1072,22 @@ impl JoinService {
     /// grid worker pins its per-shard share for its whole lifetime —
     /// admission-visible memory accounting with no locking inside the
     /// join loop.
-    fn exec_plan(&self, grid: GridPlan, pred: &JoinPredicate, reserved_pages: u64) -> ExecPlan {
+    fn exec_plan(
+        &self,
+        grid: GridPlan,
+        pred: &JoinPredicate,
+        op: &Operator,
+        reserved_pages: u64,
+    ) -> ExecPlan {
         let threads = self.cfg.threads_per_query.max(1);
         let share = reserved_pages.div_ceil(threads as u64).max(1);
         ExecPlan {
             kernel: self.cfg.kernel,
             predicate: *pred,
+            op: op.clone(),
             shard_pool: Some((PagePool::new(reserved_pages), share)),
             ..ExecPlan::new(grid, threads)
         }
-    }
-
-    /// Phases 3 & 4, streamed: identical planning, execution through
-    /// [`run`] into a [`StreamSink`] (sequence/mixed templates take the
-    /// merge fallback, streamed chunk by chunk).
-    #[allow(clippy::too_many_arguments)]
-    fn plan_and_stream(
-        &self,
-        outer: &str,
-        inner: &str,
-        pred: &JoinPredicate,
-        grid: GridChoice,
-        r_heap: &HeapFile,
-        s_heap: &HeapFile,
-        r_stats: &TableStats,
-        s_stats: &TableStats,
-        reserved_pages: u64,
-        sink: &mut dyn FnMut(Vec<Tuple>),
-    ) -> Result<(StreamSummary, PlanOutcome, u64, u64), ServiceError> {
-        let (r_rel, s_rel, plan, outcome) = self.plan_phase(
-            outer,
-            inner,
-            pred,
-            &Operator::Inner,
-            grid,
-            r_heap,
-            s_heap,
-            r_stats,
-            s_stats,
-        )?;
-        let (plan, partitions, key_buckets) = match plan {
-            Some(p) => {
-                let parts = p.intervals.len() as u64;
-                let kb = p.key_buckets;
-                (p, parts, kb)
-            }
-            None => (GridPlan::time_only(vec![Interval::ALL]), 0, 0),
-        };
-        let plan = self.exec_plan(plan, pred, reserved_pages);
-        let mut stream = StreamSink::new(sink);
-        run(&plan, &r_rel, &s_rel, &mut stream).map_err(ServiceError::Join)?;
-        Ok((stream.summary(), outcome, partitions, key_buckets))
     }
 
     /// Shared planning front half: residency-cached relation reads plus

@@ -27,8 +27,7 @@ use vtjoin_storage::{CostRatio, IoStats};
 /// scatter/gather coordinator wait). Version 8 extended the `service`
 /// section with priority-class request counts, load-shedding outcomes
 /// (deadline / retry-after), streaming counters, LRU table-residency
-/// counters, and a queue-wait histogram; all new fields decode as zero /
-/// empty when absent, so v5–v7 service documents still parse. Version 9
+/// counters, and a queue-wait histogram. Version 9
 /// added the optional `columnar` section (struct-of-arrays encode time,
 /// radix-sort pass count, shared key-dictionary size, and
 /// late-materialized row count), present when a run executed its kernels
@@ -37,10 +36,9 @@ use vtjoin_storage::{CostRatio, IoStats};
 /// fragment, boundary-stitch, and timeline-checkpoint counters), present
 /// when a run evaluated a non-inner member of the operator family.
 ///
-/// Every post-v1 addition is an *optional* section or an optional field,
-/// so [`ExecutionReport::from_json`] accepts any version from 1 up to the
-/// current one — older (kernel-less, fault-less…) reports still parse —
-/// and rejects only versions newer than it knows.
+/// [`ExecutionReport::from_json`] accepts the current version and the
+/// previous one: a v9 document is a v10 document without the optional
+/// `operator` section. Older and newer versions are rejected.
 pub const SCHEMA_VERSION: i64 = 10;
 
 /// Error produced when decoding a serialized report.
@@ -77,12 +75,6 @@ fn req_u64(j: &Json, key: &str) -> Result<u64, ReportError> {
     j.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| missing(key))
-}
-
-/// Decodes a field added after a section's first schema version: absent
-/// means zero, so older documents still parse.
-fn opt_u64(j: &Json, key: &str) -> u64 {
-    j.get(key).and_then(Json::as_u64).unwrap_or(0)
 }
 
 fn req_i64(j: &Json, key: &str) -> Result<i64, ReportError> {
@@ -625,24 +617,22 @@ impl ServiceSection {
             queue_depth_high_water: req_u64(j, "queue_depth_high_water")?,
             pool_pages: req_u64(j, "pool_pages")?,
             pool_pages_high_water: req_u64(j, "pool_pages_high_water")?,
-            // v8 fields: absent in v5–v7 documents, which must still parse.
-            interactive_requests: opt_u64(j, "interactive_requests"),
-            batch_requests: opt_u64(j, "batch_requests"),
-            background_requests: opt_u64(j, "background_requests"),
-            shed_deadline: opt_u64(j, "shed_deadline"),
-            shed_retry_after: opt_u64(j, "shed_retry_after"),
-            streamed_requests: opt_u64(j, "streamed_requests"),
-            streamed_batches: opt_u64(j, "streamed_batches"),
-            streamed_tuples: opt_u64(j, "streamed_tuples"),
-            residency_hits: opt_u64(j, "residency_hits"),
-            residency_misses: opt_u64(j, "residency_misses"),
-            residency_evictions: opt_u64(j, "residency_evictions"),
-            queue_wait_ewma_micros: opt_u64(j, "queue_wait_ewma_micros"),
-            queue_wait_histogram: j
-                .get("queue_wait_histogram")
-                .and_then(Json::as_arr)
-                .map(|a| a.iter().filter_map(Json::as_u64).collect())
-                .unwrap_or_default(),
+            interactive_requests: req_u64(j, "interactive_requests")?,
+            batch_requests: req_u64(j, "batch_requests")?,
+            background_requests: req_u64(j, "background_requests")?,
+            shed_deadline: req_u64(j, "shed_deadline")?,
+            shed_retry_after: req_u64(j, "shed_retry_after")?,
+            streamed_requests: req_u64(j, "streamed_requests")?,
+            streamed_batches: req_u64(j, "streamed_batches")?,
+            streamed_tuples: req_u64(j, "streamed_tuples")?,
+            residency_hits: req_u64(j, "residency_hits")?,
+            residency_misses: req_u64(j, "residency_misses")?,
+            residency_evictions: req_u64(j, "residency_evictions")?,
+            queue_wait_ewma_micros: req_u64(j, "queue_wait_ewma_micros")?,
+            queue_wait_histogram: req_arr(j, "queue_wait_histogram")?
+                .iter()
+                .map(|n| n.as_u64().ok_or_else(|| missing("queue_wait_histogram[]")))
+                .collect::<Result<_, _>>()?,
         })
     }
 }
@@ -1168,9 +1158,10 @@ impl ExecutionReport {
     /// Decodes a report from a parsed JSON value.
     pub fn from_json(j: &Json) -> Result<ExecutionReport, ReportError> {
         let version = req_i64(j, "schema_version")?;
-        if !(1..=SCHEMA_VERSION).contains(&version) {
+        let oldest = SCHEMA_VERSION - 1;
+        if !(oldest..=SCHEMA_VERSION).contains(&version) {
             return Err(ReportError::Schema(format!(
-                "unsupported schema_version {version} (expected 1..={SCHEMA_VERSION})"
+                "unsupported schema_version {version} (expected {oldest}..={SCHEMA_VERSION})"
             )));
         }
         let config = j.get("config").ok_or_else(|| missing("config"))?;
@@ -2043,10 +2034,8 @@ mod tests {
 
     #[test]
     fn older_versions_still_parse() {
-        // A v9 (operator-less), a v8 (columnar-less), a v6 (grid-less), a
-        // v5 (predicate-less), a v4 (service-less), a v3 (kernel-less) and
-        // a v1 (sections-less) document must all decode: every post-v1
-        // addition is an optional section.
+        // The previous version (v9, operator-less) decodes; anything older
+        // is rejected, whatever sections it carries.
         let mut report = sample_report();
         report.operator = None;
         let v9 =
@@ -2054,129 +2043,21 @@ mod tests {
                 .to_json_string()
                 .replacen("\"schema_version\": 10", "\"schema_version\": 9", 1);
         let back = ExecutionReport::from_json_str(&v9).unwrap();
-        assert_eq!(back.operator, None);
-        assert_eq!(back.columnar, report.columnar);
-
-        report.columnar = None;
-        let v8 =
-            report
-                .to_json_string()
-                .replacen("\"schema_version\": 10", "\"schema_version\": 8", 1);
-        let back = ExecutionReport::from_json_str(&v8).unwrap();
-        assert_eq!(back.columnar, None);
-        assert_eq!(back.grid, report.grid);
-
-        report.grid = None;
-        let v6 =
-            report
-                .to_json_string()
-                .replacen("\"schema_version\": 10", "\"schema_version\": 6", 1);
-        let back = ExecutionReport::from_json_str(&v6).unwrap();
-        assert_eq!(back.grid, None);
-        assert_eq!(back.predicate, report.predicate);
-
-        report.predicate = None;
-        let v5 =
-            report
-                .to_json_string()
-                .replacen("\"schema_version\": 10", "\"schema_version\": 5", 1);
-        let back = ExecutionReport::from_json_str(&v5).unwrap();
-        assert_eq!(back.predicate, None);
-        assert_eq!(back.service, report.service);
-
-        report.service = None;
-        let v4 =
-            report
-                .to_json_string()
-                .replacen("\"schema_version\": 10", "\"schema_version\": 4", 1);
-        let back = ExecutionReport::from_json_str(&v4).unwrap();
-        assert_eq!(back.service, None);
-        assert_eq!(back.kernel, report.kernel);
-
-        report.kernel = None;
-        let v3 =
-            report
-                .to_json_string()
-                .replacen("\"schema_version\": 10", "\"schema_version\": 3", 1);
-        let back = ExecutionReport::from_json_str(&v3).unwrap();
-        assert_eq!(back.algorithm, report.algorithm);
-        assert_eq!(back.kernel, None);
-        assert_eq!(back.faults, report.faults);
-
-        report.workers.clear();
-        report.skew = None;
-        report.faults = None;
-        report.plan = None;
-        report.deviation = None;
-        report.buffer_pool = None;
-        let v1 =
-            report
-                .to_json_string()
-                .replacen("\"schema_version\": 10", "\"schema_version\": 1", 1);
-        let back = ExecutionReport::from_json_str(&v1).unwrap();
-        assert_eq!(back.result, report.result);
-        assert!(matches!(
-            ExecutionReport::from_json_str(&v1.replacen(
-                "\"schema_version\": 1",
-                "\"schema_version\": 0",
-                1
-            )),
-            Err(ReportError::Schema(_))
-        ));
-    }
-
-    #[test]
-    fn pre_v8_service_sections_decode_with_zeroed_v8_fields() {
-        // A v5–v7 document carries a service section without any of the
-        // v8 fields; they must decode as zero / empty, not as an error.
-        let mut report = sample_report();
-        let stripped = ServiceSection {
-            interactive_requests: 0,
-            batch_requests: 0,
-            background_requests: 0,
-            shed_deadline: 0,
-            shed_retry_after: 0,
-            streamed_requests: 0,
-            streamed_batches: 0,
-            streamed_tuples: 0,
-            residency_hits: 0,
-            residency_misses: 0,
-            residency_evictions: 0,
-            queue_wait_ewma_micros: 0,
-            queue_wait_histogram: Vec::new(),
-            ..report.service.clone().unwrap()
-        };
-        let v8_fields = [
-            "interactive_requests",
-            "batch_requests",
-            "background_requests",
-            "shed_deadline",
-            "shed_retry_after",
-            "streamed_requests",
-            "streamed_batches",
-            "streamed_tuples",
-            "residency_hits",
-            "residency_misses",
-            "residency_evictions",
-            "queue_wait_ewma_micros",
-            "queue_wait_histogram",
-        ];
-        let mut doc = report.to_json();
-        if let Json::Obj(pairs) = &mut doc {
-            for (key, value) in pairs.iter_mut() {
-                if key == "schema_version" {
-                    *value = Json::Int(7);
-                }
-                if key == "service" {
-                    if let Json::Obj(svc) = value {
-                        svc.retain(|(k, _)| !v8_fields.contains(&k.as_str()));
-                    }
-                }
-            }
+        assert_eq!(back, report);
+        for old in [8, 1] {
+            let text = v9.replacen(
+                "\"schema_version\": 9",
+                &format!("\"schema_version\": {old}"),
+                1,
+            );
+            assert!(
+                matches!(
+                    ExecutionReport::from_json_str(&text),
+                    Err(ReportError::Schema(_))
+                ),
+                "v{old} must be rejected"
+            );
         }
-        let back = ExecutionReport::from_json_str(&doc.to_pretty()).unwrap();
-        report.service = Some(stripped);
-        assert_eq!(back.service, report.service);
     }
 
     #[test]

@@ -68,8 +68,8 @@ fn usage() -> String {
      [--grid auto|1xN|KxN|<k>xN] [--predicate PRED] [--explain] \
      [--stats-json FILE] [-o FILE]   (in-memory parallel grid-partition join)\n  \
      vtjoin join OUTER INNER --op left|full|semi|anti|aggregate:count|aggregate:sum:ATTR|\
-aggregate:min:ATTR|aggregate:max:ATTR [--threads N] [--partitions N] [--predicate PRED] \
-     [--explain] [--stats-json FILE] [-o FILE]   \
+aggregate:min:ATTR|aggregate:max:ATTR [--threads N] [--partitions N] \
+     [--grid auto|1xN|KxN|<k>xN] [--predicate PRED] [--explain] [--stats-json FILE] [-o FILE]   \
      (temporal outer/semi/anti join or aggregation; see docs/OPERATORS.md)\n  \
      vtjoin serve --requests FILE [--concurrency N] [--pool-pages N] [--max-queue N] \
      [--buffer PAGES] [--threads-per-query N] [--kernel auto|hash|sweep] \
@@ -196,8 +196,8 @@ impl Flags {
     }
 }
 
-/// `--op OPERATOR` (default: `inner`). Non-inner operators route to the
-/// dangling-tracking operator executor.
+/// `--op OPERATOR` (default: `inner`). Non-inner operators run the
+/// in-memory executor's dangling-tracking path.
 fn parse_op(flags: &Flags) -> Result<vtjoin::model::Operator, AnyError> {
     match flags.get("op") {
         None => Ok(vtjoin::model::Operator::Inner),
@@ -283,20 +283,15 @@ fn cmd_join(args: &[String]) -> Result<(), AnyError> {
     let r = load(outer_path)?;
     let s = load(inner_path)?;
 
-    // `--op` selects a non-inner member of the operator family (outer/
-    // semi/anti join or temporal aggregation); those always run the
-    // in-memory operator executor, never the disk algorithms.
+    // `--threads` selects the in-memory executor; the disk-based
+    // algorithms below ignore it. `--op` selects a non-inner member of the
+    // operator family (outer/semi/anti join or temporal aggregation),
+    // which always runs in memory (on one thread unless `--threads` says
+    // otherwise), never on the disk algorithms.
     let op = parse_op(&flags)?;
-    if !op.is_inner() {
-        return join_operator(&flags, &r, &s, &op);
-    }
-
-    // `--threads` selects the in-memory parallel executor (work-stealing
-    // hash-probed partition join over replicated partitions); the
-    // disk-based algorithms below ignore it.
     let threads = flags.get_u64("threads", 0)?;
-    if threads > 0 {
-        return join_parallel(&flags, &r, &s, threads as usize);
+    if threads > 0 || !op.is_inner() {
+        return join_parallel(&flags, &r, &s, op, threads.max(1) as usize);
     }
 
     let buffer = flags.get_u64("buffer", 256)?;
@@ -403,25 +398,35 @@ fn cmd_join(args: &[String]) -> Result<(), AnyError> {
     Ok(())
 }
 
-/// The `--threads` path of `join`: equal-width time partitions over the
-/// inputs' combined lifespan, crossed with a cost-chosen (or forced)
-/// key-hash axis into a 2D grid, joined by the parallel executor and
-/// reported through the same explain/stats-json surface as the disk
-/// algorithms.
+/// The in-memory path of `join` (`--threads` or `--op`): equal-width
+/// time partitions over the inputs' combined lifespan, crossed with a
+/// cost-chosen (or forced) key-hash axis into a 2D grid, run by the one
+/// executor for `op` and reported through the same explain/stats-json
+/// surface as the disk algorithms. Non-inner results are byte-identical
+/// to the `vtjoin::model::algebra` oracle for the requested operator.
 fn join_parallel(
     flags: &Flags,
     r: &Relation,
     s: &Relation,
+    op: vtjoin::model::Operator,
     threads: usize,
 ) -> Result<(), AnyError> {
     use vtjoin::join::partition::plan_grid;
+    use vtjoin::join::KernelChoice;
 
     let partitions = flags.get_u64("partitions", (threads as u64 * 4).max(16))?;
     // Kernel policy: `auto` gates per partition on estimated
     // duplicates-per-key; `hash`/`sweep` force one kernel everywhere.
     let kernel_name = flags.get("kernel").unwrap_or("auto");
-    let kernel = vtjoin::join::KernelChoice::parse(kernel_name)
+    let kernel = KernelChoice::parse(kernel_name)
         .ok_or_else(|| format!("--kernel must be auto|hash|sweep, got `{kernel_name}`"))?;
+    if kernel != KernelChoice::Auto && !op.is_inner() {
+        return Err(format!(
+            "--kernel {kernel_name} applies only to the inner join; \
+             --op {op} runs the dangling-tracking sweep"
+        )
+        .into());
+    }
     // Grid policy: `auto` lets the cost model pick the key-bucket count
     // (possibly collapsing to time-only), `1xN` forces time-only, `KxN`
     // forces the key axis on, `<k>xN` fixes the bucket count.
@@ -448,9 +453,10 @@ fn join_parallel(
         kernel: if pred.is_natural() {
             kernel
         } else {
-            vtjoin::join::KernelChoice::Auto
+            KernelChoice::Auto
         },
         predicate: pred,
+        op,
         ..vtjoin::engine::ExecPlan::new(plan, threads)
     };
     let mut out = vtjoin::engine::MaterializeSink::default();
@@ -459,6 +465,29 @@ fn join_parallel(
 
     if flags.get("explain").is_some() {
         print!("{}", exec_report.render_explain());
+    } else if let Some(o) = &exec_report.operator {
+        println!(
+            "{}: {} result tuples, {} cells on {} workers{}",
+            plan.op,
+            result.len(),
+            o.cells,
+            o.workers,
+            if o.fallback_nested {
+                " (nested fallback)"
+            } else {
+                ""
+            },
+        );
+        println!(
+            "  pairs {} | dangling outer {} ({} stitched), inner {} ({} stitched)",
+            o.pairs_logged, o.outer_dangling, o.stitched_outer, o.inner_dangling, o.stitched_inner,
+        );
+        if o.timeline_events > 0 || o.agg_segments > 0 {
+            println!(
+                "  timeline: {} events, {} checkpoints, {} segments",
+                o.timeline_events, o.timeline_checkpoints, o.agg_segments,
+            );
+        }
     } else {
         println!(
             "parallel: {} result tuples, {} partitions on {} workers",
@@ -504,92 +533,6 @@ fn join_parallel(
                 pd.filter_checks,
                 pd.merge_pairs_emitted,
                 pd.merge_pairs_scanned,
-            );
-        }
-    }
-    if let Some(path) = flags.get("stats-json") {
-        std::fs::write(PathBuf::from(path), exec_report.to_json_string())
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote stats to {path}");
-    }
-    if let Some(out) = flags.get("out") {
-        save(&result, out)?;
-        println!("wrote result to {out}");
-    }
-    Ok(())
-}
-
-/// The `--op` path of `join`: equal-width time partitions crossed with a
-/// cost-chosen key-bucket axis (the same planning as the parallel inner
-/// join), executed by the dangling-tracking operator executor. Results
-/// are byte-identical to the `vtjoin::model::algebra` oracle for the
-/// requested operator.
-fn join_operator(
-    flags: &Flags,
-    r: &Relation,
-    s: &Relation,
-    op: &vtjoin::model::Operator,
-) -> Result<(), AnyError> {
-    use vtjoin::join::partition::plan_grid;
-
-    let threads = flags.get_u64("threads", 1)?.max(1) as usize;
-    let partitions = flags.get_u64("partitions", (threads as u64 * 4).max(16))?;
-    let pred = parse_predicate(flags)?;
-    let hull = match (r.lifespan(), s.lifespan()) {
-        (Some(a), Some(b)) => {
-            Interval::new(a.start().min(b.start()), a.end().max(b.end())).expect("ordered hull")
-        }
-        (Some(a), None) => a,
-        (None, Some(b)) => b,
-        (None, None) => Interval::ALL,
-    };
-    let intervals = vtjoin::join::partition::intervals::equal_width(hull, partitions);
-    let spec = vtjoin::join::common::JoinSpec::natural(r.schema(), s.schema())?;
-    let plan = plan_grid(
-        &spec,
-        r,
-        s,
-        &intervals,
-        threads,
-        vtjoin::join::partition::GridChoice::Auto,
-    )
-    .plan;
-    let (result, exec_report) = vtjoin::engine::operator_execution_report(
-        r,
-        s,
-        op,
-        &pred,
-        &plan.intervals,
-        plan.key_buckets as usize,
-        threads,
-    )?;
-
-    if flags.get("explain").is_some() {
-        print!("{}", exec_report.render_explain());
-    } else {
-        let o = exec_report
-            .operator
-            .as_ref()
-            .expect("operator runs always carry their section");
-        println!(
-            "{op}: {} result tuples, {} cells on {} workers{}",
-            result.len(),
-            o.cells,
-            o.workers,
-            if o.fallback_nested {
-                " (nested fallback)"
-            } else {
-                ""
-            },
-        );
-        println!(
-            "  pairs {} | dangling outer {} ({} stitched), inner {} ({} stitched)",
-            o.pairs_logged, o.outer_dangling, o.stitched_outer, o.inner_dangling, o.stitched_inner,
-        );
-        if o.timeline_events > 0 || o.agg_segments > 0 {
-            println!(
-                "  timeline: {} events, {} checkpoints, {} segments",
-                o.timeline_events, o.timeline_checkpoints, o.agg_segments,
             );
         }
     }

@@ -2,18 +2,66 @@
 //! it documents. An unknown or removed flag is a typed usage error naming
 //! the flag — never a silent no-op — and every flag `vtjoin help` prints
 //! still parses. Malformed input files are typed errors, not panics.
+//! `join --op` runs end to end through the binary: its `-o` file holds
+//! exactly the text of the algebra oracle's result.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use vtjoin::model::algebra::{antijoin_pred, count_over_time, outerjoin_pred, JoinSide};
+use vtjoin::model::algebra::{predicate_join, segments_to_relation};
+use vtjoin::prelude::*;
+use vtjoin::workload::{from_text, to_text};
 
-fn vtjoin(args: &[&str]) -> Output {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli");
+/// A scratch directory of its own for one test (tests run concurrently).
+fn scratch(name: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
     std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn vtjoin_in(dir: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_vtjoin"))
         .args(args)
         .current_dir(dir)
         .output()
         .unwrap()
+}
+
+fn vtjoin(args: &[&str]) -> Output {
+    vtjoin_in(&scratch("cli"), args)
+}
+
+/// Generates an outer `r.vt` and an inner `s.vt` of `tuples` each in `dir`.
+fn gen_pair(dir: &Path, tuples: &str) {
+    for (side, seed, name) in [("outer", "42", "r.vt"), ("inner", "7", "s.vt")] {
+        let out = vtjoin_in(
+            dir,
+            &[
+                "gen",
+                "--tuples",
+                tuples,
+                "--long-lived",
+                "80",
+                "--keys",
+                "60",
+                "--duration",
+                "40",
+                "--lifespan",
+                "4000",
+                "--seed",
+                seed,
+                "--side",
+                side,
+                "-o",
+                name,
+            ],
+        );
+        assert!(out.status.success(), "gen: {}", stderr(&out));
+    }
+}
+
+fn load(dir: &Path, name: &str) -> Relation {
+    from_text(&std::fs::read_to_string(dir.join(name)).unwrap()).unwrap()
 }
 
 fn stderr(out: &Output) -> String {
@@ -82,5 +130,116 @@ fn malformed_bytes_field_is_a_parse_error_not_a_panic() {
         let err = stderr(&out);
         assert_eq!(out.status.code(), Some(2), "{name}: {err}");
         assert!(err.contains("parse error"), "{name}: {err}");
+    }
+}
+
+#[test]
+fn operator_runs_take_the_grid_and_reject_bad_grid_and_kernel_values() {
+    let dir = scratch("cli-op-flags");
+    gen_pair(&dir, "1500");
+    let cells = |grid: &str| {
+        let out = vtjoin_in(
+            &dir,
+            &[
+                "join", "r.vt", "s.vt", "--op", "left", "--grid", grid, "-o", grid,
+            ],
+        );
+        assert!(out.status.success(), "--grid {grid}: {}", stderr(&out));
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        let line = text.lines().next().unwrap().to_owned();
+        let n: u64 = line
+            .split(", ")
+            .nth(1)
+            .unwrap()
+            .split(' ')
+            .next()
+            .unwrap()
+            .parse()
+            .unwrap();
+        (n, std::fs::read(dir.join(grid)).unwrap())
+    };
+    // `--grid` reaches operator runs: 8 key buckets split the 16 time
+    // partitions into more cells, and the result does not change.
+    let (time_only, a) = cells("1xN");
+    let (keyed, b) = cells("8xN");
+    assert!(
+        time_only <= 16 && keyed > 16,
+        "1xN {time_only} cells, 8xN {keyed}"
+    );
+    assert_eq!(a, b, "the grid shape changed an operator result");
+
+    for (args, names) in [
+        (&["--op", "left", "--grid", "nonsense"][..], "--grid"),
+        (&["--op", "left", "--kernel", "bogus"][..], "--kernel"),
+        (&["--threads", "2", "--grid", "nonsense"][..], "--grid"),
+        (&["--op", "left", "--kernel", "hash"][..], "--kernel hash"),
+        (&["--op", "anti", "--kernel", "sweep"][..], "--kernel sweep"),
+    ] {
+        let out = vtjoin_in(&dir, &[&["join", "r.vt", "s.vt"][..], args].concat());
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(names), "{args:?}: {err}");
+    }
+    let auto = vtjoin_in(
+        &dir,
+        &["join", "r.vt", "s.vt", "--op", "left", "--kernel", "auto"],
+    );
+    assert!(auto.status.success(), "{}", stderr(&auto));
+}
+
+#[test]
+fn operator_output_files_hold_the_oracle_text() {
+    let dir = scratch("cli-op-e2e");
+    gen_pair(&dir, "800");
+    let (r, s) = (load(&dir, "r.vt"), load(&dir, "s.vt"));
+    let natural = JoinPredicate::intersects();
+    let before: JoinPredicate = "before".parse().unwrap();
+    let count = segments_to_relation(&count_over_time(&predicate_join(&r, &s, &natural).unwrap()));
+    let cases = [
+        (
+            "left",
+            "intersects",
+            outerjoin_pred(&r, &s, JoinSide::Left, &natural).unwrap(),
+        ),
+        (
+            "anti",
+            "intersects",
+            antijoin_pred(&r, &s, &natural).unwrap(),
+        ),
+        ("aggregate:count", "intersects", count),
+        // Sequence template: the nested fallback.
+        (
+            "left",
+            "before",
+            outerjoin_pred(&r, &s, JoinSide::Left, &before).unwrap(),
+        ),
+    ];
+    for (op, pred, want) in &cases {
+        assert!(
+            !want.is_empty(),
+            "{op} {pred}: an empty oracle shows nothing"
+        );
+        for threads in ["1", "2"] {
+            let args = [
+                "join",
+                "r.vt",
+                "s.vt",
+                "--op",
+                op,
+                "--predicate",
+                pred,
+                "--threads",
+                threads,
+                "-o",
+                "out.vt",
+            ];
+            let out = vtjoin_in(&dir, &args);
+            assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+            let got = std::fs::read_to_string(dir.join("out.vt")).unwrap();
+            assert!(
+                got == to_text(want),
+                "{op} {pred} threads={threads}: not the oracle text"
+            );
+        }
     }
 }

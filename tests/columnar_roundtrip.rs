@@ -9,11 +9,11 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use vtjoin::engine::{operator_join, run, ExecPlan, MaterializeSink};
+use vtjoin::engine::{run, ExecPlan, MaterializeSink};
 use vtjoin::join::common::JoinSpec;
 use vtjoin::join::kernel::KernelChoice;
 use vtjoin::join::partition::intervals::equal_width;
-use vtjoin::join::partition::{plan_grid, GridChoice};
+use vtjoin::join::partition::{plan_grid, GridChoice, GridPlan};
 use vtjoin::model::algebra::{
     antijoin_pred, count_over_time, full_outerjoin_pred, outerjoin_pred, segments_to_relation,
     semijoin_pred, sum_over_time, JoinSide,
@@ -208,7 +208,14 @@ proptest! {
         for pred_text in GRAMMAR_PREDICATES {
             let pred: JoinPredicate = pred_text.parse().unwrap();
             for op in &ops {
-                let (got, _) = operator_join(&r, &s, op, &pred, &intervals, 2, threads).unwrap();
+                let plan = ExecPlan {
+                    predicate: pred,
+                    op: op.clone(),
+                    ..ExecPlan::new(GridPlan::with_buckets(2, intervals.clone()), threads)
+                };
+                let mut out = MaterializeSink::default();
+                run(&plan, &r, &s, &mut out).unwrap();
+                let got = out.into_relation();
                 prop_assert_eq!(
                     ordered_encoding(&got),
                     ordered_encoding(&operator_oracle(&r, &s, op, &pred)),

@@ -1,21 +1,24 @@
-//! Operator-family equivalence: the production operator executor
-//! (`vtjoin::engine::operator_join` — grid scatter, dangling-tracking
-//! sweeps, boundary stitching, oracle-order materialization) must be
-//! **byte-identical** to the nested-loop oracles of
-//! `vtjoin::model::algebra` for every operator, every grammar-nameable
-//! predicate, and several thread and partition counts —
-//! plus the algebraic invariant that semijoin and antijoin *partition*
-//! every input interval.
+//! Operator-family equivalence: the executor's operator path
+//! (`vtjoin::engine::run` with a non-inner `ExecPlan::op` — grid scatter,
+//! dangling-tracking sweeps, boundary stitching, oracle-order
+//! materialization) must be **byte-identical** to the nested-loop oracles
+//! of `vtjoin::model::algebra` for every operator, every grammar-nameable
+//! predicate, and several thread and partition counts — plus the
+//! algebraic invariant that semijoin and antijoin *partition* every input
+//! interval. The inner join, on the same plans, must produce the oracle
+//! multiset, byte-identically at every thread count.
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use vtjoin::engine::operator_join;
+use vtjoin::engine::{run, ExecPlan, MaterializeSink};
 use vtjoin::join::partition::intervals::equal_width;
+use vtjoin::join::partition::GridPlan;
 use vtjoin::model::algebra::{
     antijoin_pred, count_over_time, extremum_over_time, full_outerjoin_pred, outerjoin_pred,
     predicate_join, segments_to_relation, semijoin_pred, sum_over_time, Extremum, JoinSide,
 };
 use vtjoin::model::{AggFunc, Operator};
+use vtjoin::obs::OperatorSection;
 use vtjoin::prelude::*;
 use vtjoin::storage::codec::encode;
 
@@ -89,6 +92,26 @@ fn arb_rel(schema: Arc<Schema>, keys: i64, n: usize) -> impl Strategy<Value = Re
     })
 }
 
+/// [`run`] with `op` over a 2-bucket grid on `intervals`: the result and
+/// the operator section (`None` for the inner join).
+fn op_run(
+    r: &Relation,
+    s: &Relation,
+    op: &Operator,
+    pred: &JoinPredicate,
+    intervals: &[Interval],
+    threads: usize,
+) -> (Relation, Option<OperatorSection>) {
+    let plan = ExecPlan {
+        predicate: *pred,
+        op: op.clone(),
+        ..ExecPlan::new(GridPlan::with_buckets(2, intervals.to_vec()), threads)
+    };
+    let mut out = MaterializeSink::default();
+    let report = run(&plan, r, s, &mut out).unwrap();
+    (out.into_relation(), report.operator)
+}
+
 /// The ordered byte image of a result: byte-identical means identical
 /// storage-codec bytes in identical emission order.
 fn ordered_encoding(rel: &Relation) -> Vec<Vec<u8>> {
@@ -123,8 +146,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Every operator × every grammar predicate × thread counts 1/2/4 ×
-    /// several partition counts: the production executor
-    /// reproduces the algebra oracle byte-for-byte.
+    /// several partition counts: the executor reproduces the algebra
+    /// oracle byte-for-byte for every non-inner operator, and the oracle
+    /// multiset — byte-identical across thread counts — for the inner
+    /// join.
     #[test]
     fn operators_match_oracles_bytewise(
         r in arb_rel(r_schema(), 4, 50),
@@ -136,7 +161,6 @@ proptest! {
         for pred_text in GRAMMAR_PREDICATES {
             let pred: JoinPredicate = pred_text.parse().unwrap();
             let oracles: Vec<(Operator, Relation)> = vec![
-                (Operator::Inner, predicate_join(&r, &s, &pred).unwrap()),
                 (
                     Operator::Left,
                     outerjoin_pred(&r, &s, JoinSide::Left, &pred).unwrap(),
@@ -147,9 +171,7 @@ proptest! {
             ];
             for (op, want) in &oracles {
                 for threads in [1usize, 2, 4] {
-                    let (got, counters) = operator_join(
-                        &r, &s, op, &pred, &intervals, 2, threads,
-                    ).unwrap();
+                    let (got, section) = op_run(&r, &s, op, &pred, &intervals, threads);
                     prop_assert_eq!(
                         ordered_encoding(&got),
                         ordered_encoding(want),
@@ -158,11 +180,27 @@ proptest! {
                         op,
                     );
                     prop_assert_eq!(
-                        counters.fallback_nested,
+                        section.expect("operator section").fallback_nested,
                         !pred.partitioning_eligible(),
                         "{} under {pred_text}: wrong execution path", op,
                     );
                 }
+            }
+            let want = predicate_join(&r, &s, &pred).unwrap();
+            let (serial, section) = op_run(&r, &s, &Operator::Inner, &pred, &intervals, 1);
+            prop_assert!(section.is_none());
+            prop_assert!(
+                serial.multiset_eq(&want),
+                "inner under {pred_text} (parts={parts}): not the oracle multiset",
+            );
+            for threads in [2usize, 4] {
+                let (got, _) = op_run(&r, &s, &Operator::Inner, &pred, &intervals, threads);
+                prop_assert_eq!(
+                    ordered_encoding(&got),
+                    ordered_encoding(&serial),
+                    "inner under {pred_text} (threads={threads}, parts={parts}): \
+                     output depends on the thread count",
+                );
             }
         }
     }
@@ -181,12 +219,8 @@ proptest! {
         let intervals = equal_width(lifespan, parts);
         for pred_text in ["intersects", "during", "before-within-7", "meets-or-met-by"] {
             let pred: JoinPredicate = pred_text.parse().unwrap();
-            let (semi, _) = operator_join(
-                &r, &s, &Operator::Semi, &pred, &intervals, 2, threads,
-            ).unwrap();
-            let (anti, _) = operator_join(
-                &r, &s, &Operator::Anti, &pred, &intervals, 2, threads,
-            ).unwrap();
+            let (semi, _) = op_run(&r, &s, &Operator::Semi, &pred, &intervals, threads);
+            let (anti, _) = op_run(&r, &s, &Operator::Anti, &pred, &intervals, threads);
             let union = Relation::from_parts_unchecked(
                 Arc::clone(r.schema()),
                 semi.iter().chain(anti.iter()).cloned().collect(),
@@ -237,15 +271,13 @@ proptest! {
         ];
         for (f, want) in &cases {
             let op = Operator::Aggregate(f.clone());
-            let (got, counters) = operator_join(
-                &r, &s, &op, &pred, &intervals, 2, threads,
-            ).unwrap();
+            let (got, section) = op_run(&r, &s, &op, &pred, &intervals, threads);
             prop_assert_eq!(
                 ordered_encoding(&got),
                 ordered_encoding(want),
                 "aggregate:{}: diverged from the aggregate.rs oracle", f,
             );
-            prop_assert_eq!(counters.agg_segments, got.len() as u64);
+            prop_assert_eq!(section.unwrap().agg_segments, got.len() as u64);
             // Extremum oracles merge adjacent equal-value segments, so
             // their production mirror must hand back already-coalesced
             // output (count/sum keep every event boundary by contract).
